@@ -27,7 +27,6 @@ from .model import (
     Put,
     Side,
     Sine,
-    negate_payoff,
     parse_rational,
     payoff_from_json,
     payoff_to_json,
@@ -135,14 +134,7 @@ def cmd_price(args) -> int:
     if args.verify:
         if args.prune:
             raise ValueError("--verify applies to exact (non-pruned) results")
-        if side is Side.UPPER:
-            report = verify.check_superreplication(game, payoff, result.price, result.strategy)
-        else:
-            # subreplicating f from alpha == superreplicating -f from -alpha
-            negated = induction.price_european(game, negate_payoff(payoff), Side.UPPER)
-            report = verify.check_superreplication(
-                game, negate_payoff(payoff), -result.price, negated.strategy
-            )
+        report = verify.check_replication(game, payoff, result.price, result.strategy, side)
         audit = verify.audit_measure(game, payoff, result)
         out["verification"] = {
             "min_slack": report.min_slack,
@@ -379,16 +371,9 @@ def cmd_verify(args) -> int:
     side = Side(args.side)
     result = induction.price_european(game, payoff, side)
     alpha = result.price if args.alpha is None else float(parse_rational(args.alpha))
-    if side is Side.UPPER:
-        report = verify.check_superreplication(
-            game, payoff, alpha, result.strategy, tolerance=args.tolerance
-        )
-    else:
-        # a lower-side certificate subreplicates: replay it on the negated payoff
-        negated = induction.price_european(game, negate_payoff(payoff), Side.UPPER)
-        report = verify.check_superreplication(
-            game, negate_payoff(payoff), -alpha, negated.strategy, tolerance=args.tolerance
-        )
+    report = verify.check_replication(
+        game, payoff, alpha, result.strategy, side, tolerance=args.tolerance
+    )
     audit = verify.audit_measure(game, payoff, result)
     out = {
         "alpha": alpha,

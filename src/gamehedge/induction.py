@@ -6,9 +6,12 @@ the full k^N tree behind an explicit size budget.  A pruned variant
 re-selects the extremal pair only every q rounds and inherits it in
 between, trading exactness for fewer distinct decisions.
 
-All exact sums are tracked as integers on a common-denominator rescaling of
-the moves (one-step weights do not change under a positive rescaling), and
-are converted back to Fractions in the returned node keys.
+Every route holds one round as arrays and hands each backward step to the
+``singlestep`` kernel; what differs between routes is only how a node finds
+its children.  All exact sums are tracked as integers on a
+common-denominator rescaling of the moves (one-step weights do not change
+under a positive rescaling), and are converted back to Fractions in the
+returned node keys.
 """
 from __future__ import annotations
 
@@ -16,7 +19,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterator
+
+import numpy as np
 
 from .model import (
     BudgetError,
@@ -28,17 +33,10 @@ from .model import (
     Side,
     evaluate_payoff,
     is_path_dependent,
+    node_key,
     payoff_value_on_path,
 )
-from .singlestep import clamp_position
-
-
-@dataclass(frozen=True)
-class LatticeLevel:
-    """Reachable exact sums at one round, with their node values."""
-
-    round: int
-    states: dict[Fraction, float]
+from .singlestep import PairTable, best_pair, replicating_step
 
 
 @dataclass(frozen=True)
@@ -52,45 +50,44 @@ class PruneSchedule:
             raise ValueError("prune period must be >= 1")
 
 
-class _Pair(NamedTuple):
-    i: int
-    j: int
-    d_neg: int          # negative move on the integer lattice
-    d_pos: int          # positive move on the integer lattice
-    w_neg: float
-    w_pos: float
-    span: float         # float(a_pos - a_neg)
-    node: RiskNeutralNode
+class _Certificate:
+    """The node mappings of a PriceResult, filled one round at a time."""
 
+    def __init__(self) -> None:
+        self.strategy: dict[tuple, float] = {}
+        self.measure: dict[tuple, RiskNeutralNode] = {}
+        self.node_values: dict[tuple, float] = {}
 
-def _integer_lattice(moves: MoveSpace) -> tuple[int, list[_Pair]]:
-    denom = math.lcm(*(a.denominator for a in moves.members))
-    table = []
-    for i, j in moves.pairs():
-        node = RiskNeutralNode.from_pair(moves, i, j)
-        a_neg, a_pos = moves.pair_moves(i, j)
-        table.append(
-            _Pair(
-                i,
-                j,
-                int(a_neg * denom),
-                int(a_pos * denom),
-                float(node.prob_neg),
-                float(node.prob_pos),
-                float(a_pos - a_neg),
-                node,
-            )
+    def add(self, keys: list, values: np.ndarray, index: np.ndarray,
+            positions: np.ndarray, nodes: tuple[RiskNeutralNode, ...]) -> None:
+        self.node_values.update(zip(keys, values.tolist()))
+        self.strategy.update(zip(keys, positions.tolist()))
+        self.measure.update(zip(keys, [nodes[i] for i in index.tolist()]))
+
+    def result(self, root: np.ndarray, side: Side, key_kind: str,
+               prune_period: int | None = None) -> PriceResult:
+        """The PriceResult whose price is the single value of the root level."""
+        return PriceResult(
+            price=float(root[0]),
+            side=side,
+            strategy=self.strategy,
+            measure=self.measure,
+            node_values=self.node_values,
+            key_kind=key_kind,
+            prune_period=prune_period,
         )
-    return denom, table
 
 
-def _reachable_sums(deltas: list[int], rounds: int) -> list[list[int]]:
-    levels: list[list[int]] = [[0]]
-    current = {0}
-    for _ in range(rounds):
-        current = {s + d for s in current for d in deltas}
-        levels.append(sorted(current))
-    return levels
+def _integer_moves(moves: MoveSpace) -> tuple[int, np.ndarray]:
+    """Common denominator of the moves and the moves times it, ascending."""
+    denom = math.lcm(*(a.denominator for a in moves.members))
+    return denom, np.array(
+        [a.numerator * (denom // a.denominator) for a in moves.members], dtype=np.int64
+    )
+
+
+def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) -> np.ndarray:
+    return np.array([evaluate_payoff(payoff, scale * (s / denom)) for s in sums])
 
 
 def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
@@ -98,48 +95,23 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     if is_path_dependent(payoff):
         raise ValueError("use price_path_dependent for path-dependent payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
-    denom, pairs = _integer_lattice(moves)
-    deltas = sorted({p.d_neg for p in pairs} | {p.d_pos for p in pairs})
-    levels = _reachable_sums(deltas, rounds)
+    pairs = PairTable.of(moves)
+    denom, deltas = _integer_moves(moves)
+    # sorted reachable integer sums per round
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(rounds):
+        levels.append(np.unique(levels[-1][:, None] + deltas))
 
-    upper = side is Side.UPPER
-    strategy: dict[tuple, float] = {}
-    measure: dict[tuple, RiskNeutralNode] = {}
-    node_values: dict[tuple, float] = {}
-    member_deltas = [(int(a * denom), float(a)) for a in moves.members]
-
-    values = {s: evaluate_payoff(payoff, scale * (s / denom)) for s in levels[rounds]}
-    for s in levels[rounds]:
-        node_values[(rounds, Fraction(s, denom))] = values[s]
-
+    cert = _Certificate()
+    sums = levels[rounds].tolist()
+    values = _terminal_values(payoff, scale, sums, denom)
+    cert.node_values.update(zip([(rounds, Fraction(s, denom)) for s in sums], values.tolist()))
     for n in range(rounds - 1, -1, -1):
-        nxt = values
-        values = {}
-        for s in levels[n]:
-            best = None
-            best_pair = None
-            for p in pairs:
-                v = p.w_neg * nxt[s + p.d_neg] + p.w_pos * nxt[s + p.d_pos]
-                if best is None or (v > best if upper else v < best):
-                    best, best_pair = v, p
-            assert best is not None and best_pair is not None
-            values[s] = best
-            key = (n, Fraction(s, denom))
-            node_values[key] = best
-            slope = (nxt[s + best_pair.d_pos] - nxt[s + best_pair.d_neg]) / best_pair.span
-            strategy[key] = clamp_position(
-                best, slope, ((fa, nxt[s + d]) for d, fa in member_deltas), side
-            )
-            measure[key] = best_pair.node
-
-    return PriceResult(
-        price=values[0],
-        side=side,
-        strategy=strategy,
-        measure=measure,
-        node_values=node_values,
-        key_kind="lattice",
-    )
+        children = values[np.searchsorted(levels[n + 1], levels[n] + deltas[:, None])]
+        values, index, positions = replicating_step(children, pairs, side)
+        keys = [(n, Fraction(s, denom)) for s in levels[n].tolist()]
+        cert.add(keys, values, index, positions, pairs.nodes)
+    return cert.result(values, side, "lattice")
 
 
 def price_path_dependent(
@@ -156,53 +128,25 @@ def price_path_dependent(
     if leaves > budget:
         raise BudgetError(f"{leaves} leaves exceed the budget of {budget}")
     members = moves.members
-    member_floats = [float(a) for a in members]
-    _, pairs = _integer_lattice(moves)
-    n_neg = moves.n_negative
-    # index of each pair's moves in the ascending member order
-    child_idx = [(n_neg - 1 - p.i, n_neg + p.j) for p in pairs]
+    pairs = PairTable.of(moves)
 
-    upper = side is Side.UPPER
-    strategy: dict[tuple, float] = {}
-    measure: dict[tuple, RiskNeutralNode] = {}
-    node_values: dict[tuple, float] = {}
-
-    values = [
-        payoff_value_on_path(payoff, scale, path)
-        for path in itertools.product(members, repeat=rounds)
-    ]
-    for path, v in zip(itertools.product(members, repeat=rounds), values):
-        node_values[path] = v
-
+    cert = _Certificate()
+    paths = list(itertools.product(members, repeat=rounds))
+    values = np.array([payoff_value_on_path(payoff, scale, path) for path in paths])
+    cert.node_values.update(zip(paths, values.tolist()))
     for n in range(rounds - 1, -1, -1):
-        parent_values = []
-        for idx, path in enumerate(itertools.product(members, repeat=n)):
-            base = idx * k
-            best = None
-            best_pair = None
-            best_ci = (0, 0)
-            for p, ci in zip(pairs, child_idx):
-                v = p.w_neg * values[base + ci[0]] + p.w_pos * values[base + ci[1]]
-                if best is None or (v > best if upper else v < best):
-                    best, best_pair, best_ci = v, p, ci
-            assert best is not None and best_pair is not None
-            parent_values.append(best)
-            node_values[path] = best
-            slope = (values[base + best_ci[1]] - values[base + best_ci[0]]) / best_pair.span
-            strategy[path] = clamp_position(
-                best, slope, zip(member_floats, values[base:base + k]), side
-            )
-            measure[path] = best_pair.node
-        values = parent_values
+        # the children of a prefix are a contiguous block of k, in member order
+        values, index, positions = replicating_step(values.reshape(-1, k).T, pairs, side)
+        cert.add(list(itertools.product(members, repeat=n)), values, index, positions,
+                 pairs.nodes)
+    return cert.result(values, side, "path")
 
-    return PriceResult(
-        price=values[0],
-        side=side,
-        strategy=strategy,
-        measure=measure,
-        node_values=node_values,
-        key_kind="path",
-    )
+
+def _child_tag(n_next: int, rounds: int, period: int,
+               pair: tuple[int, int]) -> tuple[int, int] | None:
+    """Inherited-pair tag of a pruned node at round ``n_next`` reached
+    through ``pair``: None where the pair is re-selected and at the leaves."""
+    return None if (n_next % period == 0 or n_next == rounds) else pair
 
 
 def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> PriceResult:
@@ -212,118 +156,94 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     (exact sum, inherited pair); at re-selection rounds the value does not
     depend on the inherited pair and the state collapses to (sum, None).
     period=1 reproduces the exact price; period=rounds prices every pair's
-    binomial sub-model and takes the best.
+    binomial sub-model and takes the best.  Positions are the extremal
+    chord slopes, unclamped: a pruned value is no superhedging level.
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     q = schedule.period
-    denom, pairs = _integer_lattice(moves)
-    by_ij = {(p.i, p.j): p for p in pairs}
+    pairs = PairTable.of(moves)
+    denom, deltas = _integer_moves(moves)
+    inherited = [(node.pair, pairs.only(p)) for p, node in enumerate(pairs.nodes)]
 
-    def child_tag(n_next: int, pair_key: tuple[int, int]) -> tuple[int, int] | None:
-        return None if (n_next % q == 0 or n_next == rounds) else pair_key
+    def groups(n: int) -> list[tuple[tuple[int, int] | None, PairTable]]:
+        """(inherited tag, pairs on offer) of the states at round n."""
+        return [(None, pairs)] if n % q == 0 else inherited
 
-    # forward pass: reachable (sum, inherited pair) states per round
-    states: list[set[tuple[int, tuple[int, int] | None]]] = [{(0, None)}]
+    def steps(n: int, table: PairTable):
+        """(child tag, negative move, positive move) of each offered pair."""
+        tags = [_child_tag(n + 1, rounds, q, node.pair) for node in table.nodes]
+        return zip(tags, deltas[table.neg], deltas[table.pos])
+
+    # forward pass: sorted reachable sums per inherited tag, per round
+    levels: list[dict] = [{None: np.zeros(1, dtype=np.int64)}]
     for n in range(rounds):
-        nxt: set[tuple[int, tuple[int, int] | None]] = set()
-        for s, tag in states[n]:
-            options = pairs if n % q == 0 else [by_ij[tag]]
-            for p in options:
-                t = child_tag(n + 1, (p.i, p.j))
-                nxt.add((s + p.d_neg, t))
-                nxt.add((s + p.d_pos, t))
-        states.append(nxt)
+        grown: dict = {}
+        for tag, table in groups(n):
+            sums = levels[n][tag]
+            for child, d_neg, d_pos in steps(n, table):
+                grown.setdefault(child, []).extend((sums + d_neg, sums + d_pos))
+        levels.append({t: np.unique(np.concatenate(parts)) for t, parts in grown.items()})
 
-    strategy: dict[tuple, float] = {}
-    measure: dict[tuple, RiskNeutralNode] = {}
-    node_values: dict[tuple, float] = {}
-
-    values: dict[tuple[int, tuple[int, int] | None], float] = {}
-    for s, tag in states[rounds]:
-        v = evaluate_payoff(payoff, scale * (s / denom))
-        values[(s, tag)] = v
-        node_values[(rounds, Fraction(s, denom), tag)] = v
-
-    for n in range(rounds - 1, -1, -1):
-        nxt = values
-        values = {}
-        for s, tag in sorted(states[n], key=lambda st: (st[0], st[1] or (-1, -1))):
-            options = pairs if n % q == 0 else [by_ij[tag]]
-            best = None
-            best_pair = None
-            for p in options:
-                t = child_tag(n + 1, (p.i, p.j))
-                v = p.w_neg * nxt[(s + p.d_neg, t)] + p.w_pos * nxt[(s + p.d_pos, t)]
-                if best is None or v > best:
-                    best, best_pair = v, p
-            assert best is not None and best_pair is not None
-            values[(s, tag)] = best
-            key = (n, Fraction(s, denom), tag)
-            node_values[key] = best
-            t = child_tag(n + 1, (best_pair.i, best_pair.j))
-            ups = nxt[(s + best_pair.d_pos, t)]
-            downs = nxt[(s + best_pair.d_neg, t)]
-            strategy[key] = (ups - downs) / best_pair.span
-            measure[key] = best_pair.node
-
-    return PriceResult(
-        price=values[(0, None)],
-        side=Side.UPPER,
-        strategy=strategy,
-        measure=measure,
-        node_values=node_values,
-        key_kind="pruned",
-        prune_period=q,
+    cert = _Certificate()
+    sums = levels[rounds][None].tolist()
+    values = {None: _terminal_values(payoff, scale, sums, denom)}
+    cert.node_values.update(
+        zip([(rounds, Fraction(s, denom), None) for s in sums], values[None].tolist())
     )
+    for n in range(rounds - 1, -1, -1):
+        nxt, values = values, {}
+        for tag, table in groups(n):
+            sums = levels[n][tag]
+            neg, pos = [], []
+            for child, d_neg, d_pos in steps(n, table):
+                child_sums = levels[n + 1][child]
+                neg.append(nxt[child][np.searchsorted(child_sums, sums + d_neg)])
+                pos.append(nxt[child][np.searchsorted(child_sums, sums + d_pos)])
+            values[tag], index, slope = best_pair(np.stack(neg), np.stack(pos), table, Side.UPPER)
+            keys = [(n, Fraction(s, denom), tag) for s in sums.tolist()]
+            cert.add(keys, values[tag], index, slope, table.nodes)
+    return cert.result(values[None], Side.UPPER, "pruned", q)
+
+
+def measure_walk(
+    result: PriceResult, game: GameSpec
+) -> Iterator[tuple[tuple, Fraction, RiskNeutralNode | None]]:
+    """Depth-first walk over the supported paths of the extremal measure.
+
+    Yields (prefix, probability, node measure) at every internal node on a
+    supported path and (path, probability, None) at every supported leaf.
+    Zero-probability branches (the negative side of a pair whose positive
+    move is 0) are not entered.
+    """
+    moves, rounds = game.moves, game.rounds
+    # stack entries: (path, exact sum, round, probability, inherited tag)
+    stack: list[tuple[tuple, Fraction, int, Fraction, tuple | None]] = [
+        ((), Fraction(0), 0, Fraction(1), None)
+    ]
+    while stack:
+        path, s, n, prob, tag = stack.pop()
+        if n == rounds:
+            yield path, prob, None
+            continue
+        node = result.measure[node_key(result.key_kind, n, s, path, tag)]
+        yield path, prob, node
+        a_neg, a_pos = moves.pair_moves(*node.pair)
+        child = None
+        if result.key_kind == "pruned":
+            assert result.prune_period is not None
+            child = _child_tag(n + 1, rounds, result.prune_period, node.pair)
+        if node.prob_neg > 0:
+            stack.append((path + (a_neg,), s + a_neg, n + 1, prob * node.prob_neg, child))
+        if node.prob_pos > 0:
+            stack.append((path + (a_pos,), s + a_pos, n + 1, prob * node.prob_pos, child))
 
 
 def extract_measure(result: PriceResult, game: GameSpec) -> dict[tuple, Fraction]:
     """Exact probabilities of the supported paths of the extremal measure.
 
-    Zero-probability branches (the negative side of a pair whose positive
-    move is 0) are omitted, so the keys are exactly the support and the
-    probabilities sum to 1 exactly.
+    Zero-probability branches are omitted, so the keys are exactly the
+    support and the probabilities sum to 1 exactly.
     """
-    moves, rounds = game.moves, game.rounds
-    out: dict[tuple, Fraction] = {}
-    # stack entries: (path, exact sum, round, probability, inherited tag)
-    stack: list[tuple[tuple, Fraction, int, Fraction, tuple | None]] = [
-        ((), Fraction(0), 0, Fraction(1), None)
-    ]
-    q = result.prune_period
-    while stack:
-        path, s, n, prob, tag = stack.pop()
-        if n == rounds:
-            out[path] = prob
-            continue
-        if result.key_kind == "path":
-            key: tuple = path
-        elif result.key_kind == "pruned":
-            key = (n, s, tag)
-        else:
-            key = (n, s)
-        node = result.measure[key]
-        i, j = node.pair
-        a_neg, a_pos = moves.pair_moves(i, j)
-        if result.key_kind == "pruned":
-            assert q is not None
-            child = None if ((n + 1) % q == 0 or n + 1 == rounds) else (i, j)
-        else:
-            child = None
-        if node.prob_neg > 0:
-            stack.append((path + (a_neg,), s + a_neg, n + 1, prob * node.prob_neg, child))
-        if node.prob_pos > 0:
-            stack.append((path + (a_pos,), s + a_pos, n + 1, prob * node.prob_pos, child))
-    return out
-
-
-def levels_from_result(result: PriceResult, game: GameSpec) -> list[LatticeLevel]:
-    """Group a lattice result's node values into per-round levels."""
-    if result.key_kind != "lattice":
-        raise ValueError("levels are only defined for lattice-keyed results")
-    levels = [LatticeLevel(n, {}) for n in range(game.rounds + 1)]
-    for (n, s), v in result.node_values.items():
-        levels[n].states[s] = v
-    return levels
+    return {path: prob for path, prob, node in measure_walk(result, game) if node is None}

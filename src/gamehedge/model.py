@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Union
@@ -384,6 +384,19 @@ class PriceResult:
     prune_period: int | None = None
 
 
+def node_key(key_kind: str, n: int, s: Fraction, path: tuple, tag) -> NodeKey:
+    """Key of the node reached by ``path`` in a result of ``key_kind``.
+
+    ``n`` is the round, ``s`` the exact sum of the path and ``tag`` the
+    inherited pair (pruned results only).
+    """
+    if key_kind == "path":
+        return path
+    if key_kind == "pruned":
+        return (n, s, tag)
+    return (n, s)
+
+
 def _key_string(key: NodeKey, kind: str) -> str:
     if kind == "path":
         return ",".join(str(a) for a in key)
@@ -448,23 +461,51 @@ def payoff_to_json(payoff: Payoff) -> dict:
     raise ValueError(f"{type(payoff).__name__} cannot be serialized")
 
 
+def _json_number(value, field: str):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"payoff field {field!r} must be a number, not {value!r}")
+    return value
+
+
+def _json_points(value) -> tuple[tuple[float, float], ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(point, (list, tuple)) and len(point) == 2 for point in value
+    ):
+        raise ValueError("breakpoints must be a list of [x, y] pairs")
+    return tuple(
+        (float(_json_number(x, "breakpoints")), float(_json_number(y, "breakpoints")))
+        for x, y in value
+    )
+
+
 def payoff_from_json(obj) -> Payoff:
     """Parse a payoff from its dict form, or from a bare [[x, y], ...] array
-    (shorthand for a flat-extension piecewise-linear payoff)."""
+    (shorthand for a flat-extension piecewise-linear payoff).
+
+    Unknown or missing fields and non-numeric values raise ValueError.
+    """
     if isinstance(obj, str):
         obj = json.loads(obj)
     if isinstance(obj, (list, tuple)):
-        return PiecewiseLinear(tuple((float(x), float(y)) for x, y in obj))
+        return PiecewiseLinear(_json_points(obj))
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("payoff JSON must be a {'kind': ...} object or a [[x, y], ...] array")
     kind = obj["kind"]
-    if kind not in _PAYOFF_KINDS:
+    if not isinstance(kind, str) or kind not in _PAYOFF_KINDS:
         raise ValueError(f"unknown payoff kind {kind!r}")
+    cls = _PAYOFF_KINDS[kind]
+    given = {k: v for k, v in obj.items() if k != "kind"}
+    known = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(given) - set(known))
+    missing = [k for k, default in known.items() if default is MISSING and k not in given]
+    if unknown:
+        raise ValueError(f"{kind} payoff has unknown fields {unknown}")
+    if missing:
+        raise ValueError(f"{kind} payoff is missing the fields {missing}")
     if kind == "piecewise_linear":
         return PiecewiseLinear(
-            tuple((float(x), float(y)) for x, y in obj["breakpoints"]),
-            float(obj.get("left_slope", 0.0)),
-            float(obj.get("right_slope", 0.0)),
+            _json_points(given["breakpoints"]),
+            float(_json_number(given.get("left_slope", 0.0), "left_slope")),
+            float(_json_number(given.get("right_slope", 0.0), "right_slope")),
         )
-    args = {k: v for k, v in obj.items() if k != "kind"}
-    return _PAYOFF_KINDS[kind](**args)
+    return cls(**{k: _json_number(v, k) for k, v in given.items()})

@@ -139,24 +139,3 @@ def value_at(solution: GridSolution, s: float, t: float) -> float:
         + ft * ((1 - fx) * f[n0 + 1, i0] + fx * f[n0 + 1, i0 + 1])
     )
 
-
-def converge_vs_lattice(
-    moves, payoff: Payoff, n_list, grid: GridSpec, side: Side
-) -> list[tuple[int, float, float, float]]:
-    """Scaled-game prices next to the PDE value at the origin.
-
-    Returns rows (rounds, lattice price, PDE value, absolute gap) for each
-    requested number of rounds; the game uses payoff scale 1/sqrt(rounds)
-    and the PDE takes its variance band from the move space.
-    """
-    from .induction import price_european
-    from .model import GameSpec, variances
-
-    lo, hi = variances(moves)
-    solution = solve(grid, payoff, side, float(lo), float(hi))
-    pde_value = value_at(solution, 0.0, grid.horizon)
-    rows = []
-    for rounds in n_list:
-        price = price_european(GameSpec.scaled(moves, rounds), payoff, side).price
-        rows.append((rounds, price, pde_value, abs(price - pde_value)))
-    return rows

@@ -25,6 +25,7 @@ from .model import (
     PriceResult,
     Side,
     negate_payoff,
+    node_key,
     payoff_value_on_path,
 )
 
@@ -59,14 +60,6 @@ class FuzzSummary:
     @property
     def passed(self) -> bool:
         return not self.failures
-
-
-def _node_key(result_kind: str, n: int, s: Fraction, path: tuple, tag):
-    if result_kind == "path":
-        return path
-    if result_kind == "pruned":
-        return (n, s, tag)
-    return (n, s)
 
 
 def _detect_kind(strategy) -> str:
@@ -121,7 +114,7 @@ def check_superreplication(
             if slack < min_slack:
                 min_slack, worst = slack, path
             continue
-        key = _node_key(kind, n, s, path, tag)
+        key = node_key(kind, n, s, path, tag)
         try:
             position = strategy[key]
         except KeyError:
@@ -136,6 +129,27 @@ def check_superreplication(
     )
 
 
+def check_replication(
+    game: GameSpec,
+    payoff: Payoff,
+    alpha: float,
+    strategy,
+    side: Side,
+    tolerance: float = 1e-9,
+) -> VerificationReport:
+    """Replay a strategy of the given side from alpha on every path.
+
+    An UPPER strategy must superreplicate f.  A LOWER strategy M must
+    subreplicate it (alpha + sum M.x <= f everywhere), which is the same
+    statement as -M superreplicating -f from -alpha, so that is what is
+    replayed; the slacks are reported on that negated problem.
+    """
+    if side is Side.UPPER:
+        return check_superreplication(game, payoff, alpha, strategy, tolerance)
+    negated = {key: -m for key, m in strategy.items()}
+    return check_superreplication(game, negate_payoff(payoff), -alpha, negated, tolerance)
+
+
 def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
                   tolerance: float = 1e-10) -> MeasureAudit:
     """Walk the extremal measure and verify it in exact arithmetic.
@@ -145,26 +159,18 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
     increment).  Checks overall: path probabilities sum to one exactly and
     the measure's expected payoff reproduces the price within tolerance.
     """
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
-    q = result.prune_period
+    moves, scale = game.moves, game.payoff_scale
     nodes_checked = 0
     total = Fraction(0)
     expectation_terms: list[float] = []
     ok = True
 
-    stack: list[tuple[tuple, Fraction, int, Fraction, tuple | None]] = [
-        ((), Fraction(0), 0, Fraction(1), None)
-    ]
-    while stack:
-        path, s, n, prob, tag = stack.pop()
-        if n == rounds:
+    for path, prob, node in induction.measure_walk(result, game):
+        if node is None:
             total += prob
             expectation_terms.append(float(prob) * payoff_value_on_path(payoff, scale, path))
             continue
-        key = _node_key(result.key_kind, n, s, path, tag)
-        node = result.measure[key]
-        i, j = node.pair
-        a_neg, a_pos = moves.pair_moves(i, j)
+        a_neg, a_pos = moves.pair_moves(*node.pair)
         nodes_checked += 1
         if node.prob_neg < 0 or node.prob_pos < 0:
             ok = False
@@ -172,15 +178,6 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
             ok = False
         if a_neg * node.prob_neg + a_pos * node.prob_pos != 0:
             ok = False
-        if result.key_kind == "pruned":
-            assert q is not None
-            child = None if ((n + 1) % q == 0 or n + 1 == rounds) else (i, j)
-        else:
-            child = None
-        if node.prob_neg > 0:
-            stack.append((path + (a_neg,), s + a_neg, n + 1, prob * node.prob_neg, child))
-        if node.prob_pos > 0:
-            stack.append((path + (a_pos,), s + a_pos, n + 1, prob * node.prob_pos, child))
 
     expectation = math.fsum(expectation_terms)
     if total != 1:
@@ -295,21 +292,11 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
         1e-9,
     )
 
-    replay = check_superreplication(
-        game, payoff, upper_result.price, upper_result.strategy
-    )
-    if not replay.passed:
-        failures.append(("superreplication", replay.min_slack, 0.0, 1e-9))
-    # A LOWER strategy M subreplicates (alpha + sum M.x <= f everywhere), which
-    # is the same statement as -M superreplicating -f from -alpha.
-    sub = check_superreplication(
-        game,
-        negate_payoff(payoff),
-        -lower_result.price,
-        {key: -m for key, m in lower_result.strategy.items()},
-    )
-    if not sub.passed:
-        failures.append(("subreplication", sub.min_slack, 0.0, 1e-9))
+    for name, result in (("superreplication", upper_result),
+                         ("subreplication", lower_result)):
+        replay = check_replication(game, payoff, result.price, result.strategy, result.side)
+        if not replay.passed:
+            failures.append((name, replay.min_slack, 0.0, 1e-9))
 
     audit = audit_measure(game, payoff, upper_result)
     if not audit.passed:

@@ -8,6 +8,7 @@ import subprocess
 
 import pytest
 
+from gamehedge import induction
 from gamehedge.cli import main, parse_moves, parse_payoff
 from gamehedge import Butterfly, Call, PiecewiseLinear, Put, Sine
 
@@ -313,6 +314,25 @@ def test_verify_ok_both_sides(capsys):
         assert out["measure_audit"]["total_probability"] == "1"
 
 
+def test_lower_verify_replays_the_returned_strategy(capsys, monkeypatch):
+    # the lower certificate is replayed as it is, not re-derived by pricing -f
+    calls = []
+    price_european = induction.price_european
+
+    def spy(*args):
+        calls.append(args)
+        return price_european(*args)
+
+    monkeypatch.setattr(induction, "price_european", spy)
+    base = ["--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY, "--side", "lower"]
+    code, out, _ = run_json(capsys, "verify", *base)
+    assert code == 0 and out["superreplicates"] is True
+    assert len(calls) == 1
+    code, out, _ = run_json(capsys, "price", *base, "--verify")
+    assert code == 0 and out["verification"]["superreplicates"] is True
+    assert len(calls) == 2
+
+
 def test_verify_underfunded_alpha_fails(capsys):
     code, out, _ = run_json(
         capsys, "verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
@@ -338,6 +358,21 @@ def test_bad_payoff_is_exit_two(capsys):
     )
     assert code == 2
     assert "cannot parse payoff" in err
+
+
+@pytest.mark.parametrize("payoff", [
+    '{"kind": "call", "strik": 1}',
+    '{"kind": "call", "strike": "abc"}',
+    '{"kind": "butterfly", "k1": -1, "k2": 0}',
+    '{"kind": ["call"], "strike": 1}',
+])
+def test_malformed_payoff_json_is_exit_two(capsys, payoff):
+    code, out, err = run_cli(
+        capsys, "price", "--moves=-1,1,2", "--rounds", "1", "--payoff", payoff
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_timing_goes_to_stderr(capsys):

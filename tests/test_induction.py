@@ -18,7 +18,6 @@ from gamehedge import (
     Side,
     binomial_lower_bound,
     extract_measure,
-    levels_from_result,
     lp_price,
     price_european,
     price_path_dependent,
@@ -231,26 +230,24 @@ def test_prune_schedule_validation(trinomial, butterfly):
 # --- lattice levels ----------------------------------------------------------
 
 
+def _states_per_round(result, rounds: int) -> list[int]:
+    counts = [0] * (rounds + 1)
+    for n, _ in result.node_values:
+        counts[n] += 1
+    return counts
+
+
 def test_levels_count_bound():
     # generic (incommensurable) moves meet the stars-and-bars count exactly
     moves = MoveSpace.from_moves([F(-1), F(1, 7), F(9, 11)])
     game = GameSpec(moves, 4, 1.0)
     result = price_european(game, Call(0.0), Side.UPPER)
-    levels = levels_from_result(result, game)
-    for n, level in enumerate(levels):
-        expected = math.comb(n + moves.size - 1, moves.size - 1)
-        assert len(level.states) == expected
+    for n, count in enumerate(_states_per_round(result, game.rounds)):
+        assert count == math.comb(n + moves.size - 1, moves.size - 1)
 
     # commensurable moves can only collide down from that bound
     tri = MoveSpace.from_moves([-1, 1, 2])
     game = GameSpec(tri, 6, 1.0)
     result = price_european(game, Call(0.0), Side.UPPER)
-    for n, level in enumerate(levels_from_result(result, game)):
-        assert len(level.states) <= math.comb(n + 2, 2)
-
-
-def test_levels_reject_path_results(trinomial, butterfly):
-    game = GameSpec(trinomial, 2, 1.0)
-    result = price_path_dependent(game, butterfly, Side.UPPER)
-    with pytest.raises(ValueError):
-        levels_from_result(result, game)
+    for n, count in enumerate(_states_per_round(result, game.rounds)):
+        assert count <= math.comb(n + 2, 2)

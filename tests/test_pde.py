@@ -15,8 +15,7 @@ from gamehedge import (
     solve,
     value_at,
 )
-from gamehedge.pde import converge_vs_lattice
-from gamehedge import MoveSpace
+from gamehedge.cli import main
 
 
 WIDE = GridSpec(-6.0, 6.0, 0.1, 1.0 / 300.0)
@@ -136,11 +135,23 @@ def test_zero_lower_variance_warns_and_is_monotone_in_time(butterfly):
     assert np.all(np.diff(sol.field, axis=0) >= -1e-15)
 
 
-def test_converge_rows_for_constant_payoff():
-    moves = MoveSpace.from_moves([-1, 1, 2])
-    grid = GridSpec(-2.0, 2.0, 0.1, 0.004)
-    flat = PiecewiseLinear(((0.0, 1.0),))
-    rows = converge_vs_lattice(moves, flat, [1, 5, 10], grid, Side.UPPER)
+def _converge_rows(capsys, payoff: str, n_list: str, *grid: str) -> list[list[float]]:
+    """Upper-side (N, lattice price, PDE value, gap) rows of ``converge --pde``."""
+    code = main(["converge", "--moves=-1,1,2", "--payoff", payoff, "--n-list", n_list,
+                 "--pde", *grid])
+    assert code == 0
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    col = {name: i for i, name in enumerate(header)}
+    out = []
+    for row in rows:
+        price, pde_value = float(row[col["upper"]]), float(row[col["pde_upper"]])
+        out.append([int(row[col["N"]]), price, pde_value, abs(price - pde_value)])
+    return out
+
+
+def test_converge_rows_for_constant_payoff(capsys):
+    rows = _converge_rows(capsys, "[[0, 1]]", "1,5,10", "--s-range=-2,2", "--ds", "0.1",
+                          "--dt", "0.004")
     assert [n for n, *_ in rows] == [1, 5, 10]
     for _, price, pde_value, gap in rows:
         assert price == 1.0
@@ -148,9 +159,9 @@ def test_converge_rows_for_constant_payoff():
         assert gap == 0.0
 
 
-def test_converge_rows_near_limit(butterfly):
-    moves = MoveSpace.from_moves([-1, 1, 2])
-    rows = converge_vs_lattice(moves, butterfly, [20, 100], WIDE, Side.UPPER)
+def test_converge_rows_near_limit(capsys):
+    # the CLI's default grid is WIDE
+    rows = _converge_rows(capsys, "butterfly(-1/2,1/2,3/2)", "20,100")
     assert rows[0][2] == rows[1][2]  # one PDE solve serves every row
     # convergence is not monotone (the lattice prices oscillate around the
     # limit), so only the gap magnitudes are pinned
