@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from .model import (
     GameSpec,
     MoveSpace,
@@ -75,32 +73,15 @@ def binomial_price(game: GameSpec, pair: tuple[int, int], payoff: Payoff) -> flo
     return math.fsum(terms)
 
 
-def binomial_lower_bound(game: GameSpec, payoff: Payoff) -> tuple[float, tuple[int, int]]:
-    """Best binomial sub-model price: a lower bound on the upper price.
+def binomial_prices(game: GameSpec, payoff: Payoff) -> dict[tuple[int, int], float]:
+    """Every pair's binomial sub-model price, in ``MoveSpace.pairs()`` order.
 
-    Returns (bound, argmax pair).  Equals the upper price itself when the
-    payoff is convex (the outermost pair attains it).
+    The maximum lower-bounds the upper price and equals it when the payoff
+    is convex (the outermost pair attains it); the minimum upper-bounds the
+    lower price.  ``max(prices, key=prices.get)`` names the first extremal
+    pair.
     """
-    best: float | None = None
-    best_pair = (0, 0)
-    for pair in game.moves.pairs():
-        value = binomial_price(game, pair, payoff)
-        if best is None or value > best:
-            best, best_pair = value, pair
-    assert best is not None
-    return best, best_pair
-
-
-def binomial_upper_bound(game: GameSpec, payoff: Payoff) -> tuple[float, tuple[int, int]]:
-    """Worst binomial sub-model price: an upper bound on the lower price."""
-    worst: float | None = None
-    worst_pair = (0, 0)
-    for pair in game.moves.pairs():
-        value = binomial_price(game, pair, payoff)
-        if worst is None or value < worst:
-            worst, worst_pair = value, pair
-    assert worst is not None
-    return worst, worst_pair
+    return {pair: binomial_price(game, pair, payoff) for pair in game.moves.pairs()}
 
 
 def nested_compare(
@@ -143,36 +124,17 @@ def split_convex_concave(payoff: Payoff) -> tuple[Payoff, Payoff]:
     return convex, concave
 
 
-def _check_shape(payoff: Payoff, grid: np.ndarray, sign: float, tol: float) -> None:
-    values = np.array([evaluate_payoff(payoff, s) for s in grid])
-    second = np.diff(values, 2) * sign
-    scale = max(1.0, float(np.abs(values).max()))
-    if second.min(initial=0.0) < -tol * scale:
-        word = "convex" if sign > 0 else "concave"
-        raise ValueError(f"payoff is not {word} on the sampled range")
+def convex_concave_bound(payoff: Payoff, game: GameSpec) -> float:
+    """Upper bound E(f1) + E(f2) for the split f = f1 + f2 of a hinge payoff.
 
-
-def convex_concave_bound(
-    convex_part: Payoff,
-    concave_part: Payoff,
-    game: GameSpec,
-    grid_points: int = 1001,
-    tol: float = 1e-9,
-) -> float:
-    """Upper bound E(f1) + E(f2) for f = f1 + f2, f1 convex and f2 concave.
-
-    Both summands are exact: the convex piece prices in the outermost
+    ``split_convex_concave`` makes f1 convex and f2 concave by construction,
+    so both summands are exact: the convex piece prices in the outermost
     binomial sub-model, the concave piece in the innermost one (or at f2(0)
-    when the smallest positive move is 0).  Shapes are verified by sampled
-    second differences over the reachable range.
+    when the smallest positive move is 0).  A payoff with no hinge form
+    raises ValueError.
     """
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
-    lo = scale * rounds * float(moves.negatives[-1])
-    hi = scale * rounds * float(moves.positives[-1])
-    grid = np.linspace(lo, hi, grid_points)
-    _check_shape(convex_part, grid, 1.0, tol)
-    _check_shape(concave_part, grid, -1.0, tol)
-
+    convex_part, concave_part = split_convex_concave(payoff)
+    moves = game.moves
     outermost = (moves.n_negative - 1, moves.n_positive - 1)
     upper_convex = binomial_price(game, outermost, convex_part)
     if moves.positives[0] > 0:

@@ -73,6 +73,17 @@ def _game_from_args(args) -> GameSpec:
     return GameSpec(moves, args.rounds, float(parse_rational(args.scale)))
 
 
+def _grid_from_args(args) -> pde.GridSpec:
+    lo_s, hi_s = (float(parse_rational(p)) for p in args.s_range.split(","))
+    return pde.GridSpec(
+        s_min=lo_s,
+        s_max=hi_s,
+        ds=float(parse_rational(args.ds)),
+        dt=float(parse_rational(args.dt)),
+        horizon=float(parse_rational(args.horizon)),
+    )
+
+
 def _emit(args, text: str) -> None:
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -152,14 +163,7 @@ def cmd_price(args) -> int:
 def cmd_pde(args) -> int:
     payoff = parse_payoff(args.payoff)
     side = Side(args.side)
-    lo_s, hi_s = (float(parse_rational(p)) for p in args.s_range.split(","))
-    grid = pde.GridSpec(
-        s_min=lo_s,
-        s_max=hi_s,
-        ds=float(parse_rational(args.ds)),
-        dt=float(parse_rational(args.dt)),
-        horizon=float(parse_rational(args.horizon)),
-    )
+    grid = _grid_from_args(args)
     if args.sigma2:
         sig_lo, sig_hi = (float(parse_rational(p)) for p in args.sigma2.split(","))
     else:
@@ -213,14 +217,7 @@ def cmd_converge(args) -> int:
 
     pde_upper = pde_lower = None
     if args.pde:
-        lo_s, hi_s = (float(parse_rational(p)) for p in args.s_range.split(","))
-        grid = pde.GridSpec(
-            s_min=lo_s,
-            s_max=hi_s,
-            ds=float(parse_rational(args.ds)),
-            dt=float(parse_rational(args.dt)),
-            horizon=float(parse_rational(args.horizon)),
-        )
+        grid = _grid_from_args(args)
         lo, hi = variances(moves)
         up_sol = pde.solve(grid, payoff, Side.UPPER, float(lo), float(hi))
         lo_sol = pde.solve(grid, payoff, Side.LOWER, float(lo), float(hi))
@@ -233,8 +230,8 @@ def cmd_converge(args) -> int:
         game = GameSpec.scaled(moves, rounds)
         upper = induction.price_european(game, payoff, Side.UPPER).price
         lower = induction.price_european(game, payoff, Side.LOWER).price
-        bino_max, _ = bounds_mod.binomial_lower_bound(game, payoff)
-        bino_min, _ = bounds_mod.binomial_upper_bound(game, payoff)
+        prices = bounds_mod.binomial_prices(game, payoff).values()
+        bino_max, bino_min = max(prices), min(prices)
         rows.append(
             [
                 rounds,
@@ -294,28 +291,22 @@ def cmd_sweep_quad(args) -> int:
 def cmd_bounds(args) -> int:
     game = _game_from_args(args)
     payoff = parse_payoff(args.payoff)
+    prices = bounds_mod.binomial_prices(game, payoff)
     pair_rows = []
-    for pair in game.moves.pairs():
+    for pair, price in prices.items():
         a_neg, a_pos = game.moves.pair_moves(*pair)
-        pair_rows.append(
-            {
-                "pair": list(pair),
-                "neg": str(a_neg),
-                "pos": str(a_pos),
-                "price": bounds_mod.binomial_price(game, pair, payoff),
-            }
-        )
-    best, best_pair = bounds_mod.binomial_lower_bound(game, payoff)
-    worst, worst_pair = bounds_mod.binomial_upper_bound(game, payoff)
+        pair_rows.append({"pair": list(pair), "neg": str(a_neg), "pos": str(a_pos), "price": price})
+    best_pair = max(prices, key=prices.get)
+    worst_pair = min(prices, key=prices.get)
     out = {
         "pairs": pair_rows,
-        "binomial_max": {"price": best, "pair": list(best_pair)},
-        "binomial_min": {"price": worst, "pair": list(worst_pair)},
+        "binomial_max": {"price": prices[best_pair], "pair": list(best_pair)},
+        "binomial_min": {"price": prices[worst_pair], "pair": list(worst_pair)},
     }
     if args.split:
         convex_part, concave_part = bounds_mod.split_convex_concave(payoff)
         out["convex_concave"] = {
-            "bound": bounds_mod.convex_concave_bound(convex_part, concave_part, game),
+            "bound": bounds_mod.convex_concave_bound(payoff, game),
             "convex_part": payoff_to_json(convex_part),
             "concave_part": payoff_to_json(concave_part),
         }
@@ -342,7 +333,7 @@ def cmd_lp(args) -> int:
         with open(args.dump_lp, "w", encoding="utf-8") as handle:
             handle.write(lp.dump_dense(problem))
     started = time.perf_counter()
-    optimum = lp.lp_price(game, payoff, side, max_entries=args.max_entries)
+    optimum = lp.solve_side(problem, side)
     _timing(args, started)
     out = {
         "optimum": optimum,
@@ -352,11 +343,10 @@ def cmd_lp(args) -> int:
     }
     status = 0
     if args.check_dual:
-        values = lp.path_payoff_vector(game, payoff)
         if side is Side.UPPER:
-            dual = lp.dual_vertex_enumerate(game.moves, game.rounds, values)
+            dual = lp.dual_vertex_enumerate(game.moves, game.rounds, problem.rhs)
         else:
-            dual = -lp.dual_vertex_enumerate(game.moves, game.rounds, -values)
+            dual = -lp.dual_vertex_enumerate(game.moves, game.rounds, -problem.rhs)
         out["dual_enumeration"] = dual
         out["dual_gap"] = abs(dual - optimum)
         if out["dual_gap"] > 1e-9:

@@ -21,7 +21,7 @@ route, which is the point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .model import (
     Payoff,
     RiskNeutralNode,
     Side,
-    negate_payoff,
     payoff_value_on_path,
 )
 
@@ -131,6 +130,17 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def _noise_floor(values: np.ndarray, pivot_tol: float) -> float:
+    """Magnitude up to which entries of ``values`` count as zero.
+
+    Elimination leaves noise of about pivot_tol times the largest entry;
+    entering on a noise reduced cost, or pivoting on a noise coefficient,
+    wrecks the tableau (an infeasible point, a false unbounded verdict, or
+    no termination).
+    """
+    return 100.0 * pivot_tol * max(1.0, float(np.abs(values).max()))
+
+
 def _simplex(
     tableau: np.ndarray,
     basis: list[int],
@@ -142,15 +152,17 @@ def _simplex(
     n_cost = cost.shape[0]
     for _ in range(max_iter):
         reduced = cost - cost[basis] @ tableau[:, :n_cost]
-        candidates = np.nonzero(reduced < -pivot_tol)[0]
+        candidates = np.nonzero(reduced < -_noise_floor(reduced, pivot_tol))[0]
         if candidates.size == 0:
             return
         entering = int(candidates[0])  # Bland: smallest improving index
+        column = tableau[:, entering]
+        floor = _noise_floor(column, pivot_tol)
         best_row = -1
         best_ratio = np.inf
         for r in range(tableau.shape[0]):
-            coef = tableau[r, entering]
-            if coef > pivot_tol:
+            coef = column[r]
+            if coef > floor:
                 ratio = tableau[r, -1] / coef
                 if ratio < best_ratio - 1e-12 or (
                     abs(ratio - best_ratio) <= 1e-12
@@ -226,13 +238,21 @@ def solve_min(
     return float(obj @ x), x
 
 
+def solve_side(problem: LpProblem, side: Side) -> float:
+    """Hedging price of one side from the built upper-price LP.
+
+    The lower price of f is minus the upper price of -f, whose LP is the
+    same problem with the right-hand side negated.
+    """
+    if side is Side.UPPER:
+        return solve_min(problem)[0]
+    return -solve_min(replace(problem, rhs=-problem.rhs))[0]
+
+
 def lp_price(game: GameSpec, payoff: Payoff, side: Side = Side.UPPER,
              max_entries: int = 2 * 10**7) -> float:
-    """Hedging price via the LP route (lower side solves on -f and negates)."""
-    if side is Side.LOWER:
-        return -lp_price(game, negate_payoff(payoff), Side.UPPER, max_entries)
-    optimum, _ = solve_min(build_problem(game, payoff, max_entries=max_entries))
-    return optimum
+    """Hedging price via the LP route."""
+    return solve_side(build_problem(game, payoff, max_entries=max_entries), side)
 
 
 def dual_vertex_enumerate(

@@ -10,7 +10,7 @@ minimizing) pair carries the extremal zero-mean measure and the optimal
 one-step position.  ``best_pair`` evaluates that step for a whole level of
 nodes at once and ``clamp_position`` turns the extremal chord slopes into
 replicating positions; the lattice, tree and pruned inductions only supply
-the child values.  The ``*_step`` functions price a single node.
+the child values.  ``step_strategy`` prices a single node.
 """
 from __future__ import annotations
 
@@ -129,10 +129,17 @@ def replicating_step(
     return values, index, clamp_position(values, slope, pairs.moves, children, side)
 
 
-def _one_node(
+def step_strategy(
     moves: MoveSpace, values: Mapping[Fraction, float], side: Side
-) -> tuple[float, RiskNeutralNode, float]:
-    """Price, extremal measure and replicating position of one node."""
+) -> tuple[float, float, RiskNeutralNode]:
+    """One-node price, replicating position and extremal measure.
+
+    The position is the extremal pair's chord slope
+    M = (v(a_pos) - v(a_neg)) / (a_pos - a_neg), clamped so that with the
+    price alpha it satisfies alpha + M*a >= v(a) (<= for LOWER) at every
+    move a, binding on the extremal pair (or on the clamping move).  The
+    measure's ``pair`` names the extremal pair.
+    """
     missing = [a for a in moves.members if a not in values]
     if missing:
         raise ValueError(f"values missing for moves: {missing}")
@@ -140,38 +147,4 @@ def _one_node(
     best, index, position = replicating_step(
         np.array([[values[a]] for a in moves.members]), pairs, side
     )
-    return float(best[0]), pairs.nodes[index[0]], float(position[0])
-
-
-def upper_price_step(
-    moves: MoveSpace, values: Mapping[Fraction, float]
-) -> tuple[float, tuple[int, int], RiskNeutralNode]:
-    """One-step upper price; returns (price, argmax pair, its measure)."""
-    price, node, _ = _one_node(moves, values, Side.UPPER)
-    return price, node.pair, node
-
-
-def lower_price_step(
-    moves: MoveSpace, values: Mapping[Fraction, float]
-) -> tuple[float, tuple[int, int], RiskNeutralNode]:
-    """One-step lower price; returns (price, argmin pair, its measure)."""
-    price, node, _ = _one_node(moves, values, Side.LOWER)
-    return price, node.pair, node
-
-
-def step_price(moves: MoveSpace, values: Mapping[Fraction, float], side: Side) -> float:
-    return _one_node(moves, values, side)[0]
-
-
-def step_strategy(
-    moves: MoveSpace, values: Mapping[Fraction, float], side: Side
-) -> tuple[float, float, RiskNeutralNode]:
-    """One-step price plus a replicating position.
-
-    The position is the extremal pair's chord slope
-    M = (v(a_pos) - v(a_neg)) / (a_pos - a_neg), clamped so that with the
-    price alpha it satisfies alpha + M*a >= v(a) (<= for LOWER) at every
-    move a, binding on the extremal pair (or on the clamping move).
-    """
-    price, node, position = _one_node(moves, values, side)
-    return price, position, node
+    return float(best[0]), float(position[0]), pairs.nodes[index[0]]

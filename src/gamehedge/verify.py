@@ -257,15 +257,15 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
         if small > large + tol:
             failures.append((name, small, large, tol))
 
-    expect("lp_upper", lp.lp_price(game, payoff, Side.UPPER), upper, 1e-9)
-    expect("lp_lower", lp.lp_price(game, payoff, Side.LOWER), lower, 1e-9)
+    problem = lp.build_problem(game, payoff)
+    expect("lp_upper", lp.solve_side(problem, Side.UPPER), upper, 1e-9)
+    expect("lp_lower", lp.solve_side(problem, Side.LOWER), lower, 1e-9)
 
-    leaf_values = lp.path_payoff_vector(game, payoff)
     dual_upper = lp.dual_vertex_enumerate(
-        game.moves, game.rounds, leaf_values, budget=limits.dual_budget
+        game.moves, game.rounds, problem.rhs, budget=limits.dual_budget
     )
     dual_lower = -lp.dual_vertex_enumerate(
-        game.moves, game.rounds, -leaf_values, budget=limits.dual_budget
+        game.moves, game.rounds, -problem.rhs, budget=limits.dual_budget
     )
     expect("dual_upper", dual_upper, upper, 1e-9)
     expect("dual_lower", dual_lower, lower, 1e-9)
@@ -274,15 +274,12 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
     expect("reciprocity", lower, -negated, 1e-12)
     expect_le("order", lower, upper, 1e-12)
 
-    bino_lo, _ = bounds_mod.binomial_lower_bound(game, payoff)
-    bino_hi, _ = bounds_mod.binomial_upper_bound(game, payoff)
-    expect_le("binomial_vs_upper", bino_lo, upper, 1e-9)
-    expect_le("binomial_vs_lower", lower, bino_hi, 1e-9)
+    prices = bounds_mod.binomial_prices(game, payoff).values()
+    expect_le("binomial_vs_upper", max(prices), upper, 1e-9)
+    expect_le("binomial_vs_lower", lower, min(prices), 1e-9)
+    expect_le("convex_concave", upper, bounds_mod.convex_concave_bound(payoff, game), 1e-9)
 
-    convex_part, concave_part = bounds_mod.split_convex_concave(payoff)
-    split_bound = bounds_mod.convex_concave_bound(convex_part, concave_part, game)
-    expect_le("convex_concave", upper, split_bound, 1e-9)
-
+    convex_part, _ = bounds_mod.split_convex_concave(payoff)
     convex_upper = induction.price_european(game, convex_part, Side.UPPER).price
     outer_pair = (game.moves.n_negative - 1, game.moves.n_positive - 1)
     expect(

@@ -13,9 +13,9 @@ from gamehedge import (
     MoveSpace,
     PiecewiseLinear,
     Side,
-    binomial_lower_bound,
+    Sine,
     binomial_price,
-    binomial_upper_bound,
+    binomial_prices,
     convex_concave_bound,
     nested_compare,
     price_european,
@@ -70,8 +70,10 @@ def test_large_round_counts_stay_finite(trinomial, butterfly):
 
 def test_bound_envelope_regressions(trinomial, butterfly):
     game = GameSpec.scaled(trinomial, 20)
-    low, low_pair = binomial_lower_bound(game, butterfly)
-    high, high_pair = binomial_upper_bound(game, butterfly)
+    prices = binomial_prices(game, butterfly)
+    low_pair = max(prices, key=prices.get)
+    high_pair = min(prices, key=prices.get)
+    low, high = prices[low_pair], prices[high_pair]
     assert low == pytest.approx(0.3327350740244583, abs=1e-12)
     assert low_pair == (0, 0)
     assert high == pytest.approx(0.2310160077355719, abs=1e-12)
@@ -85,8 +87,9 @@ def test_bounds_sandwich_prices():
         payoff = random_piecewise(rng)
         upper = price_european(game, payoff, Side.UPPER).price
         lower = price_european(game, payoff, Side.LOWER).price
-        assert binomial_lower_bound(game, payoff)[0] <= upper + 1e-9
-        assert lower <= binomial_upper_bound(game, payoff)[0] + 1e-9
+        prices = binomial_prices(game, payoff).values()
+        assert max(prices) <= upper + 1e-9
+        assert lower <= min(prices) + 1e-9
 
 
 def test_convex_payoff_priced_by_outermost_pair(trinomial):
@@ -180,8 +183,7 @@ def test_convex_concave_bound_dominates_price():
     for _ in range(20):
         game = random_game(rng, max_rounds=4)
         payoff = random_piecewise(rng)
-        convex, concave = split_convex_concave(payoff)
-        bound = convex_concave_bound(convex, concave, game)
+        bound = convex_concave_bound(payoff, game)
         upper = price_european(game, payoff, Side.UPPER).price
         assert upper <= bound + 1e-9
 
@@ -190,32 +192,27 @@ def test_convex_concave_bound_tight_for_pure_shapes(trinomial):
     game = GameSpec.scaled(trinomial, 20)
     # purely convex payoff: the bound is the price itself
     payoff = Call(0.0)
-    flat = PiecewiseLinear(((0.0, 0.0),))
-    assert convex_concave_bound(payoff, flat, game) == pytest.approx(
+    assert convex_concave_bound(payoff, game) == pytest.approx(
         price_european(game, payoff, Side.UPPER).price, abs=1e-12
     )
     # purely concave payoff: likewise (priced by the innermost pair)
     concave = PiecewiseLinear(((0.0, 0.0), (1.0, 1.0)), left_slope=1.0, right_slope=0.0)
-    assert convex_concave_bound(flat, concave, game) == pytest.approx(
+    assert convex_concave_bound(concave, game) == pytest.approx(
         price_european(game, concave, Side.UPPER).price, abs=1e-12
     )
 
 
-def test_convex_concave_bound_rejects_wrong_shapes(trinomial, butterfly):
+def test_convex_concave_bound_rejects_payoffs_without_hinges(trinomial):
     game = GameSpec.scaled(trinomial, 5)
-    flat = PiecewiseLinear(((0.0, 0.0),))
     with pytest.raises(ValueError):
-        convex_concave_bound(butterfly, flat, game)  # butterfly is not convex
-    with pytest.raises(ValueError):
-        convex_concave_bound(flat, Call(0.0), game)  # call is not concave
+        convex_concave_bound(Sine(1.0), game)
 
 
 def test_concave_with_zero_move_prices_at_zero(butterfly):
     moves = MoveSpace.from_moves([-1, 0, 1])
     game = GameSpec.scaled(moves, 8)
-    flat = PiecewiseLinear(((0.0, 0.0),))
     concave = PiecewiseLinear(((0.0, 1.0), (1.0, 2.0)), left_slope=2.0, right_slope=0.5)
-    assert convex_concave_bound(flat, concave, game) == pytest.approx(
+    assert convex_concave_bound(concave, game) == pytest.approx(
         concave(0.0), abs=1e-12
     )
 

@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from gamehedge import induction
+from gamehedge import bounds, induction, lp
 from gamehedge.cli import main, parse_moves, parse_payoff
 from gamehedge import Butterfly, Call, PiecewiseLinear, Put, Sine
 
@@ -266,6 +266,42 @@ def test_bounds_json(capsys):
     nested = out["nested"]
     assert (nested["lower_outer"] <= nested["lower_inner"]
             <= nested["upper_inner"] <= nested["upper_outer"])
+
+
+def test_bounds_split_prices_each_pair_once(capsys, monkeypatch):
+    calls = []
+    binomial_price = bounds.binomial_price
+
+    def spy(*args):
+        calls.append(args)
+        return binomial_price(*args)
+
+    monkeypatch.setattr(bounds, "binomial_price", spy)
+    code, out, _ = run_json(
+        capsys, "bounds", "--moves=-1,1/3,1/2,2/3,2", "--rounds", "10",
+        "--payoff", BUTTERFLY, "--split",
+    )
+    assert code == 0
+    assert len(calls) == len(out["pairs"]) + 2  # the split bound adds two
+
+
+def test_lp_builds_the_problem_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    build_problem = lp.build_problem
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return build_problem(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "build_problem", spy)
+    for side in ("upper", "lower"):
+        calls.clear()
+        code, out, _ = run_json(
+            capsys, "lp", "--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY,
+            "--side", side, "--check-dual", "--dump-lp", str(tmp_path / "problem.lp"),
+        )
+        assert code == 0 and out["dual_gap"] <= 1e-9
+        assert len(calls) == 1, side
 
 
 def test_lp_with_dual_check(capsys):

@@ -16,13 +16,13 @@ from gamehedge import (
     PathDependent,
     PruneSchedule,
     Side,
-    binomial_lower_bound,
+    binomial_prices,
     extract_measure,
     lp_price,
     price_european,
     price_path_dependent,
     price_pruned,
-    upper_price_step,
+    step_strategy,
 )
 from conftest import random_game, random_piecewise
 
@@ -31,7 +31,7 @@ def test_one_step_reduction(trinomial, butterfly):
     game = GameSpec(trinomial, 1, 1.0)
     result = price_european(game, butterfly, Side.UPPER)
     values = {a: butterfly(float(a)) for a in trinomial.members}
-    assert result.price == upper_price_step(trinomial, values)[0]
+    assert result.price == step_strategy(trinomial, values, Side.UPPER)[0]
 
 
 def test_butterfly_n20_upper_lower(trinomial, butterfly):
@@ -205,7 +205,7 @@ def test_pruned_regression_values(trinomial, butterfly):
 
 def test_pruned_full_period_is_best_binomial(trinomial, butterfly):
     game = GameSpec.scaled(trinomial, 20)
-    bound, _ = binomial_lower_bound(game, butterfly)
+    bound = max(binomial_prices(game, butterfly).values())
     assert price_pruned(game, butterfly, PruneSchedule(20)).price == pytest.approx(
         bound, abs=1e-12
     )
@@ -214,7 +214,7 @@ def test_pruned_full_period_is_best_binomial(trinomial, butterfly):
     for _ in range(10):
         game = random_game(rng, max_rounds=5)
         payoff = random_piecewise(rng)
-        bound, _ = binomial_lower_bound(game, payoff)
+        bound = max(binomial_prices(game, payoff).values())
         full = price_pruned(game, payoff, PruneSchedule(game.rounds)).price
         assert full == pytest.approx(bound, abs=1e-12)
 

@@ -20,10 +20,11 @@ from gamehedge import (
     build_problem,
     dual_vertex_enumerate,
     lp_price,
+    negate_payoff,
     price_european,
     solve_min,
 )
-from gamehedge.lp import dump_dense, path_payoff_vector
+from gamehedge.lp import dump_dense, path_payoff_vector, solve_side
 from conftest import random_game, random_piecewise
 
 
@@ -127,6 +128,47 @@ def test_lp_matches_induction(trinomial, butterfly):
         want_lo = price_european(game, butterfly, Side.LOWER).price
         assert lp_price(game, butterfly, Side.UPPER) == pytest.approx(want_up, abs=1e-9)
         assert lp_price(game, butterfly, Side.LOWER) == pytest.approx(want_lo, abs=1e-9)
+
+
+def test_lower_side_is_the_lp_of_the_negated_payoff():
+    # negating a piecewise-linear payoff is exact, so solving the built
+    # problem with rhs negated is the LP of -f bit for bit
+    rng = random.Random(41)
+    for _ in range(10):
+        game = random_game(rng, max_rounds=3)
+        payoff = random_piecewise(rng)
+        lower = solve_side(build_problem(game, payoff), Side.LOWER)
+        negated, _ = solve_min(build_problem(game, negate_payoff(payoff)))
+        assert lower == -negated
+
+
+@pytest.mark.parametrize("members, rounds, payoff, side, want", [
+    # tableau column entries of ~1.6e-11, just above pivot_tol: pivoting on
+    # them returned a point 2e-3 infeasible
+    (
+        [-6, -5, F(3, 2)], 3,
+        PiecewiseLinear(
+            ((-1.125, 0.9315010606917724), (-0.25, 1.561538338360971),
+             (0.25, 0.8968592978145686), (2.0, 0.5856488194993603)),
+            0.7628364080102563, -0.4866790256438014,
+        ),
+        Side.UPPER, -0.8746250491904568,
+    ),
+    # a reduced cost of noise size entered the basis: the parent returned an
+    # infeasible point, a floor on the pivot alone a false unbounded verdict
+    (
+        [F(-1, 2), 0, 1, 4], 4,
+        PiecewiseLinear(
+            ((-1.0, 1.6867347710795415), (1.625, -1.2223082412178186)),
+            -0.4780725241993453, 0.46787373856799475,
+        ),
+        Side.LOWER, 0.4540569289797345,
+    ),
+])
+def test_simplex_ignores_noise_sized_entries(members, rounds, payoff, side, want):
+    game = GameSpec(MoveSpace.from_moves(members), rounds, 1.0)
+    assert price_european(game, payoff, side).price == want
+    assert lp_price(game, payoff, side) == pytest.approx(want, abs=1e-9)
 
 
 def test_lp_matches_scipy_linprog():

@@ -12,13 +12,14 @@ from gamehedge import (
     PiecewiseLinear,
     Side,
     build_problem,
-    lower_price_step,
     solve_min,
-    step_price,
     step_strategy,
-    upper_price_step,
 )
 from conftest import random_move_space
+
+
+def step_price(moves: MoveSpace, values, side: Side) -> float:
+    return step_strategy(moves, values, side)[0]
 
 
 def quotient_oracle(moves: MoveSpace, values, side: Side) -> float:
@@ -34,31 +35,31 @@ def quotient_oracle(moves: MoveSpace, values, side: Side) -> float:
 
 def test_butterfly_one_step(trinomial, butterfly):
     values = {a: butterfly(float(a)) for a in trinomial.members}
-    price, pair, node = upper_price_step(trinomial, values)
+    price, _, node = step_strategy(trinomial, values, Side.UPPER)
     assert price == pytest.approx(0.25, abs=1e-12)
-    assert pair == (0, 0)
+    assert node.pair == (0, 0)
     assert (node.prob_neg, node.prob_pos) == (F(1, 2), F(1, 2))
-    low, low_pair, _ = lower_price_step(trinomial, values)
+    low, _, low_node = step_strategy(trinomial, values, Side.LOWER)
     assert low == pytest.approx(0.0, abs=1e-12)
-    assert low_pair == (0, 1)
+    assert low_node.pair == (0, 1)
 
 
 def test_vee_with_zero_move():
     moves = MoveSpace.from_moves([-1, 0, 1])
     values = {F(-1): 1.0, F(0): 0.0, F(1): 1.0}
-    price, pair, _ = upper_price_step(moves, values)
+    price, _, node = step_strategy(moves, values, Side.UPPER)
     assert price == pytest.approx(1.0, abs=1e-15)
-    assert pair == (0, 1)
+    assert node.pair == (0, 1)
     # a zero positive move prices to the value at 0
-    low, low_pair, node = lower_price_step(moves, values)
+    low, _, node = step_strategy(moves, values, Side.LOWER)
     assert low == 0.0
-    assert low_pair == (0, 0)
+    assert node.pair == (0, 0)
     assert node.prob_neg == 0 and node.prob_pos == 1
 
 
 def test_missing_value_rejected(trinomial):
     with pytest.raises(ValueError):
-        upper_price_step(trinomial, {F(-1): 0.0, F(1): 1.0})
+        step_strategy(trinomial, {F(-1): 0.0, F(1): 1.0}, Side.UPPER)
 
 
 @given(st.floats(-100, 100, allow_nan=False))
