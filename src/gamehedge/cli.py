@@ -128,7 +128,7 @@ def cmd_price(args) -> int:
 
     if args.export_result:
         with open(args.export_result, "w", encoding="utf-8") as handle:
-            json.dump(result_to_json(result, include_nodes=True), handle, indent=2)
+            json.dump(result_to_json(result), handle, indent=2)
             handle.write("\n")
 
     out = {
@@ -516,8 +516,7 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError,
-            lp.InfeasibleError, lp.UnboundedError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

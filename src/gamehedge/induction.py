@@ -7,11 +7,11 @@ re-selects the extremal pair only every q rounds and inherits it in
 between, trading exactness for fewer distinct decisions.
 
 Every route holds one round as arrays and hands each backward step to the
-``singlestep`` kernel; what differs between routes is only how a node finds
-its children.  All exact sums are tracked as integers on a
-common-denominator rescaling of the moves (one-step weights do not change
-under a positive rescaling), and are converted back to Fractions in the
-returned node keys.
+``singlestep`` kernel; what differs between routes is only how it numbers
+the nodes of a round and so links a node to its children.  All exact sums
+are tracked as integers on a common-denominator rescaling of the moves
+(one-step weights do not change under a positive rescaling), and are
+converted back to Fractions only in the node names used for export.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from .model import (
     PriceResult,
     RiskNeutralNode,
     Side,
+    Strategy,
     evaluate_payoff,
     is_path_dependent,
-    node_key,
     payoff_value_on_path,
 )
 from .singlestep import PairTable, best_pair, replicating_step
@@ -50,32 +50,23 @@ class PruneSchedule:
             raise ValueError("prune period must be >= 1")
 
 
-class _Certificate:
-    """The node mappings of a PriceResult, filled one round at a time."""
-
-    def __init__(self) -> None:
-        self.strategy: dict[tuple, float] = {}
-        self.measure: dict[tuple, RiskNeutralNode] = {}
-        self.node_values: dict[tuple, float] = {}
-
-    def add(self, keys: list, values: np.ndarray, index: np.ndarray,
-            positions: np.ndarray, nodes: tuple[RiskNeutralNode, ...]) -> None:
-        self.node_values.update(zip(keys, values.tolist()))
-        self.strategy.update(zip(keys, positions.tolist()))
-        self.measure.update(zip(keys, [nodes[i] for i in index.tolist()]))
-
-    def result(self, root: np.ndarray, side: Side, key_kind: str,
-               prune_period: int | None = None) -> PriceResult:
-        """The PriceResult whose price is the single value of the root level."""
-        return PriceResult(
-            price=float(root[0]),
-            side=side,
-            strategy=self.strategy,
-            measure=self.measure,
-            node_values=self.node_values,
-            key_kind=key_kind,
-            prune_period=prune_period,
-        )
+def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, names,
+            key_kind: str, prune_period: int | None = None) -> PriceResult:
+    """The PriceResult of the (values, pair rows, positions, links) ``steps``
+    of each round, collected from the last round back; its price is the
+    value of the root, node 0 of round 0."""
+    values, rows, positions, links = zip(*reversed(steps))
+    return PriceResult(
+        price=float(values[0][0]),
+        side=side,
+        strategy=Strategy(positions, links),
+        measure=rows,
+        node_values=values + (terminal,),
+        pairs=pairs.nodes,
+        names=names,
+        key_kind=key_kind,
+        prune_period=prune_period,
+    )
 
 
 def _integer_moves(moves: MoveSpace) -> tuple[int, np.ndarray]:
@@ -91,7 +82,11 @@ def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) 
 
 
 def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
-    """Exact hedging price of a European payoff on the collapsed lattice."""
+    """Exact hedging price of a European payoff on the collapsed lattice.
+
+    The nodes of round n are its reachable sums in ascending order; they
+    are named (round, exact sum).
+    """
     if is_path_dependent(payoff):
         raise ValueError("use price_path_dependent for path-dependent payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
@@ -102,16 +97,14 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     for _ in range(rounds):
         levels.append(np.unique(levels[-1][:, None] + deltas))
 
-    cert = _Certificate()
-    sums = levels[rounds].tolist()
-    values = _terminal_values(payoff, scale, sums, denom)
-    cert.node_values.update(zip([(rounds, Fraction(s, denom)) for s in sums], values.tolist()))
+    terminal = values = _terminal_values(payoff, scale, levels[rounds].tolist(), denom)
+    steps = []
     for n in range(rounds - 1, -1, -1):
-        children = values[np.searchsorted(levels[n + 1], levels[n] + deltas[:, None])]
-        values, index, positions = replicating_step(children, pairs, side)
-        keys = [(n, Fraction(s, denom)) for s in levels[n].tolist()]
-        cert.add(keys, values, index, positions, pairs.nodes)
-    return cert.result(values, side, "lattice")
+        links = np.searchsorted(levels[n + 1], levels[n] + deltas[:, None])
+        values, rows, positions = replicating_step(values[links], pairs, side)
+        steps.append((values, rows, positions, links))
+    return _result(side, pairs, terminal, steps,
+                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice")
 
 
 def price_path_dependent(
@@ -119,8 +112,9 @@ def price_path_dependent(
 ) -> PriceResult:
     """Hedging price on the full move tree (works for any payoff).
 
-    Node keys are the move prefixes themselves.  Raises BudgetError when the
-    tree would have more than ``budget`` leaves.
+    The nodes of round n are the move prefixes of length n in
+    lexicographic member order, and are named by them.  Raises BudgetError
+    when the tree would have more than ``budget`` leaves.
     """
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     k = moves.size
@@ -130,23 +124,16 @@ def price_path_dependent(
     members = moves.members
     pairs = PairTable.of(moves)
 
-    cert = _Certificate()
-    paths = list(itertools.product(members, repeat=rounds))
-    values = np.array([payoff_value_on_path(payoff, scale, path) for path in paths])
-    cert.node_values.update(zip(paths, values.tolist()))
+    terminal = values = np.array([payoff_value_on_path(payoff, scale, path)
+                                  for path in itertools.product(members, repeat=rounds)])
+    steps = []
     for n in range(rounds - 1, -1, -1):
         # the children of a prefix are a contiguous block of k, in member order
-        values, index, positions = replicating_step(values.reshape(-1, k).T, pairs, side)
-        cert.add(list(itertools.product(members, repeat=n)), values, index, positions,
-                 pairs.nodes)
-    return cert.result(values, side, "path")
-
-
-def _child_tag(n_next: int, rounds: int, period: int,
-               pair: tuple[int, int]) -> tuple[int, int] | None:
-    """Inherited-pair tag of a pruned node at round ``n_next`` reached
-    through ``pair``: None where the pair is re-selected and at the leaves."""
-    return None if (n_next % period == 0 or n_next == rounds) else pair
+        links = np.arange(k ** (n + 1)).reshape(-1, k).T
+        values, rows, positions = replicating_step(values[links], pairs, side)
+        steps.append((values, rows, positions, links))
+    return _result(side, pairs, terminal, steps,
+                   lambda n: list(itertools.product(members, repeat=n)), "path")
 
 
 def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> PriceResult:
@@ -157,7 +144,11 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     depend on the inherited pair and the state collapses to (sum, None).
     period=1 reproduces the exact price; period=rounds prices every pair's
     binomial sub-model and takes the best.  Positions are the extremal
-    chord slopes, unclamped: a pruned value is no superhedging level.
+    chord slopes, unclamped: a pruned value is no superhedging level, and
+    only the extremal pair's two moves are linked.
+
+    The nodes of round n are its groups in ``groups(n)`` order, each in
+    ascending sum; they are named (round, exact sum, inherited pair).
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
@@ -165,46 +156,53 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     q = schedule.period
     pairs = PairTable.of(moves)
     denom, deltas = _integer_moves(moves)
-    inherited = [(node.pair, pairs.only(p)) for p, node in enumerate(pairs.nodes)]
+    every_pair = range(len(pairs.nodes))
 
-    def groups(n: int) -> list[tuple[tuple[int, int] | None, PairTable]]:
-        """(inherited tag, pairs on offer) of the states at round n."""
-        return [(None, pairs)] if n % q == 0 else inherited
+    def groups(n: int) -> list[int | None]:
+        """Inherited pair number of each group of states at round n: one
+        group None where the pair is re-selected and at the leaves."""
+        return [None] if n % q == 0 or n == rounds else list(every_pair)
 
-    def steps(n: int, table: PairTable):
-        """(child tag, negative move, positive move) of each offered pair."""
-        tags = [_child_tag(n + 1, rounds, q, node.pair) for node in table.nodes]
-        return zip(tags, deltas[table.neg], deltas[table.pos])
+    def offers(n: int, group: int | None) -> list[tuple[int, int]]:
+        """(pair number, group of its children at round n+1) of each pair
+        on offer to the states of ``group`` at round n."""
+        inherit = len(groups(n + 1)) > 1
+        return [(p, p if inherit else 0) for p in (every_pair if group is None else [group])]
 
-    # forward pass: sorted reachable sums per inherited tag, per round
-    levels: list[dict] = [{None: np.zeros(1, dtype=np.int64)}]
+    # forward pass: sorted reachable sums per group, per round
+    levels = [[np.zeros(1, dtype=np.int64)]]
     for n in range(rounds):
-        grown: dict = {}
-        for tag, table in groups(n):
-            sums = levels[n][tag]
-            for child, d_neg, d_pos in steps(n, table):
-                grown.setdefault(child, []).extend((sums + d_neg, sums + d_pos))
-        levels.append({t: np.unique(np.concatenate(parts)) for t, parts in grown.items()})
+        grown: list[list] = [[] for _ in groups(n + 1)]
+        for group, sums in zip(groups(n), levels[n]):
+            for p, child in offers(n, group):
+                grown[child] += (sums + deltas[pairs.neg[p]], sums + deltas[pairs.pos[p]])
+        levels.append([np.unique(np.concatenate(parts)) for parts in grown])
 
-    cert = _Certificate()
-    sums = levels[rounds][None].tolist()
-    values = {None: _terminal_values(payoff, scale, sums, denom)}
-    cert.node_values.update(
-        zip([(rounds, Fraction(s, denom), None) for s in sums], values[None].tolist())
-    )
+    terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
+    steps = []
     for n in range(rounds - 1, -1, -1):
-        nxt, values = values, {}
-        for tag, table in groups(n):
-            sums = levels[n][tag]
-            neg, pos = [], []
-            for child, d_neg, d_pos in steps(n, table):
-                child_sums = levels[n + 1][child]
-                neg.append(nxt[child][np.searchsorted(child_sums, sums + d_neg)])
-                pos.append(nxt[child][np.searchsorted(child_sums, sums + d_pos)])
-            values[tag], index, slope = best_pair(np.stack(neg), np.stack(pos), table, Side.UPPER)
-            keys = [(n, Fraction(s, denom), tag) for s in sums.tolist()]
-            cert.add(keys, values[tag], index, slope, table.nodes)
-    return cert.result(values[None], Side.UPPER, "pruned", q)
+        nxt = levels[n + 1]
+        starts = np.cumsum([0] + [len(sums) for sums in nxt])
+        parts = []
+        for group, sums in zip(groups(n), levels[n]):
+            offered = offers(n, group)
+            table = pairs if group is None else pairs.only(group)
+            # (negative, positive move) x offered pair x node: the node of round n+1
+            children = np.array([[starts[c] + np.searchsorted(nxt[c], sums + deltas[move[p]])
+                                  for p, c in offered] for move in (pairs.neg, pairs.pos)])
+            best, index, slope = best_pair(*values[children], table, Side.UPPER)
+            cols = np.arange(len(sums))
+            links = np.full((moves.size, len(sums)), -1)
+            links[table.neg[index], cols], links[table.pos[index], cols] = children[:, index, cols]
+            parts.append((best, np.array([p for p, _ in offered])[index], slope, links))
+        steps.append(tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
+        values = steps[-1][0]
+
+    def names(n: int) -> list[tuple]:
+        return [(n, Fraction(s, denom), None if group is None else pairs.nodes[group].pair)
+                for group, sums in zip(groups(n), levels[n]) for s in sums.tolist()]
+
+    return _result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
 
 
 def measure_walk(
@@ -212,32 +210,28 @@ def measure_walk(
 ) -> Iterator[tuple[tuple, Fraction, RiskNeutralNode | None]]:
     """Depth-first walk over the supported paths of the extremal measure.
 
-    Yields (prefix, probability, node measure) at every internal node on a
-    supported path and (path, probability, None) at every supported leaf.
+    Follows the strategy's links from the root.  Yields (prefix,
+    probability, node measure) at every internal node on a supported path
+    and (path, probability, None) at every supported leaf.
     Zero-probability branches (the negative side of a pair whose positive
     move is 0) are not entered.
     """
-    moves, rounds = game.moves, game.rounds
-    # stack entries: (path, exact sum, round, probability, inherited tag)
-    stack: list[tuple[tuple, Fraction, int, Fraction, tuple | None]] = [
-        ((), Fraction(0), 0, Fraction(1), None)
-    ]
+    members, n_neg = game.moves.members, game.moves.n_negative
+    links = result.strategy.links
+    # stack entries: (path, node of round len(path), probability)
+    stack: list[tuple[tuple, int, Fraction]] = [((), 0, Fraction(1))]
     while stack:
-        path, s, n, prob, tag = stack.pop()
-        if n == rounds:
+        path, i, prob = stack.pop()
+        n = len(path)
+        if n == game.rounds:
             yield path, prob, None
             continue
-        node = result.measure[node_key(result.key_kind, n, s, path, tag)]
+        node = result.pairs[result.measure[n][i]]
         yield path, prob, node
-        a_neg, a_pos = moves.pair_moves(*node.pair)
-        child = None
-        if result.key_kind == "pruned":
-            assert result.prune_period is not None
-            child = _child_tag(n + 1, rounds, result.prune_period, node.pair)
-        if node.prob_neg > 0:
-            stack.append((path + (a_neg,), s + a_neg, n + 1, prob * node.prob_neg, child))
-        if node.prob_pos > 0:
-            stack.append((path + (a_pos,), s + a_pos, n + 1, prob * node.prob_pos, child))
+        neg, pos = node.pair
+        for m, weight in ((n_neg - 1 - neg, node.prob_neg), (n_neg + pos, node.prob_pos)):
+            if weight > 0:
+                stack.append((path + (members[m],), links[n][m, i], prob * weight))
 
 
 def extract_measure(result: PriceResult, game: GameSpec) -> dict[tuple, Fraction]:

@@ -249,12 +249,6 @@ def solve_side(problem: LpProblem, side: Side) -> float:
     return -solve_min(replace(problem, rhs=-problem.rhs))[0]
 
 
-def lp_price(game: GameSpec, payoff: Payoff, side: Side = Side.UPPER,
-             max_entries: int = 2 * 10**7) -> float:
-    """Hedging price via the LP route."""
-    return solve_side(build_problem(game, payoff, max_entries=max_entries), side)
-
-
 def dual_vertex_enumerate(
     moves: MoveSpace, rounds: int, values, budget: int = 10**6
 ) -> float:

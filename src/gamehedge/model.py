@@ -15,13 +15,14 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Union
+
+import numpy as np
 
 Rational = Fraction
 
-#: Node key of a pricing result: (round, sum) on the collapsed lattice,
-#: a tuple of moves for path-keyed trees, or (round, sum, inherited pair)
-#: for pruned runs.
+#: Export name of a node: (round, sum) on the collapsed lattice, a tuple of
+#: moves for path-keyed trees, or (round, sum, inherited pair) for pruned runs.
 NodeKey = tuple
 
 
@@ -363,38 +364,42 @@ def negate_payoff(payoff: Payoff) -> Payoff:
 
 
 @dataclass(frozen=True)
-class PriceResult:
-    """Outcome of a backward induction: price plus per-node certificates.
+class Strategy:
+    """Positions per round and the links from each node to its children.
 
-    ``strategy`` maps node keys to the position taken at that node,
-    ``measure`` maps them to the extremal two-point node measure, and
-    ``node_values`` holds the induced value function (terminal nodes
-    included).  ``key_kind`` says how keys are shaped: "lattice" for
-    (round, exact sum), "path" for move tuples, "pruned" for
-    (round, exact sum, inherited pair or None); pruned results also carry
-    their ``prune_period``.
+    ``positions[n][i]`` is the position held at node i of round n, node 0
+    of round 0 being the root.  ``links[n][m, i]`` is the node of round n+1
+    that move m (members in ascending order) leads to from there, or -1
+    where the route does not follow that move.
+    """
+
+    positions: tuple[np.ndarray, ...]
+    links: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class PriceResult:
+    """Outcome of a backward induction: price plus per-round certificates.
+
+    Every route numbers its nodes alike: node i of round n, node 0 of round
+    0 being the root.  ``node_values[n]`` holds the values of round n (the
+    terminal round included), ``strategy`` the positions and child links of
+    rounds 0..N-1, and ``measure[n]`` the row in ``pairs`` (in
+    ``MoveSpace.pairs()`` order) of each node's extremal pair.  ``names(n)``
+    gives the export keys of round n, shaped by ``key_kind``: (round, exact
+    sum) for "lattice", the move prefix for "path", (round, exact sum,
+    inherited pair or None) for "pruned", which also has ``prune_period``.
     """
 
     price: float
     side: Side
-    strategy: Mapping[NodeKey, float]
-    measure: Mapping[NodeKey, RiskNeutralNode]
-    node_values: Mapping[NodeKey, float]
+    strategy: Strategy
+    measure: tuple[np.ndarray, ...]
+    node_values: tuple[np.ndarray, ...]
+    pairs: tuple[RiskNeutralNode, ...]
+    names: Callable[[int], list[NodeKey]]
     key_kind: str = "lattice"
     prune_period: int | None = None
-
-
-def node_key(key_kind: str, n: int, s: Fraction, path: tuple, tag) -> NodeKey:
-    """Key of the node reached by ``path`` in a result of ``key_kind``.
-
-    ``n`` is the round, ``s`` the exact sum of the path and ``tag`` the
-    inherited pair (pruned results only).
-    """
-    if key_kind == "path":
-        return path
-    if key_kind == "pruned":
-        return (n, s, tag)
-    return (n, s)
 
 
 def _key_string(key: NodeKey, kind: str) -> str:
@@ -408,23 +413,26 @@ def _key_string(key: NodeKey, kind: str) -> str:
     return f"{n}|{s}"
 
 
-def result_to_json(result: PriceResult, include_nodes: bool = False) -> dict:
-    """JSON-friendly dict for a PriceResult (keys rendered as strings)."""
+def result_to_json(result: PriceResult) -> dict:
+    """JSON-friendly dict for a PriceResult: the per-node maps are keyed by
+    the rendered node names, latest round first."""
     out: dict = {"price": result.price, "side": result.side.value, "key_kind": result.key_kind}
     if result.prune_period is not None:
         out["prune_period"] = result.prune_period
-    if include_nodes:
-        kind = result.key_kind
-        out["strategy"] = {_key_string(k, kind): v for k, v in result.strategy.items()}
-        out["measure"] = {
-            _key_string(k, kind): {
-                "pair": list(node.pair),
-                "prob_neg": str(node.prob_neg),
-                "prob_pos": str(node.prob_pos),
-            }
-            for k, node in result.measure.items()
-        }
-        out["node_values"] = {_key_string(k, kind): v for k, v in result.node_values.items()}
+    names = [[_key_string(k, result.key_kind) for k in result.names(n)]
+             for n in range(len(result.node_values))]
+    pairs = [
+        {"pair": list(node.pair), "prob_neg": str(node.prob_neg), "prob_pos": str(node.prob_pos)}
+        for node in result.pairs
+    ]
+
+    def nodes(arrays, render=lambda v: v) -> dict:
+        return {key: render(v) for n in reversed(range(len(arrays)))
+                for key, v in zip(names[n], arrays[n].tolist())}
+
+    out["strategy"] = nodes(result.strategy.positions)
+    out["measure"] = nodes(result.measure, pairs.__getitem__)
+    out["node_values"] = nodes(result.node_values)
     return out
 
 

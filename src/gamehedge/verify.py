@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -24,8 +24,8 @@ from .model import (
     PiecewiseLinear,
     PriceResult,
     Side,
+    Strategy,
     negate_payoff,
-    node_key,
     payoff_value_on_path,
 )
 
@@ -62,51 +62,56 @@ class FuzzSummary:
         return not self.failures
 
 
-def _detect_kind(strategy) -> str:
-    if () in strategy:
-        return "path"
-    if (0, Fraction(0)) in strategy:
-        return "lattice"
-    if (0, Fraction(0), None) in strategy:
-        return "pruned"
-    raise ValueError("strategy has no recognizable root key")
+def _replay_lists(strategy: Strategy, game: GameSpec) -> tuple[list, list]:
+    """Positions per round and, per node, the child of each move, as lists.
+
+    Refuses a strategy that does not fit the game or has no link for a move.
+    """
+    positions, links = strategy.positions, strategy.links
+    widths = [len(p) for p in positions] + [math.inf]  # a strategy does not count the leaves
+    if len(positions) != game.rounds or len(links) != game.rounds:
+        raise ValueError(f"strategy covers {len(links)} rounds, the game has {game.rounds}")
+    for n, link in enumerate(links):
+        if (link < 0).any():
+            raise ValueError(f"strategy has no link for a move at round {n}: "
+                             "pruned strategies are not superhedging certificates")
+        if link.shape != (game.moves.size, widths[n]) or (link >= widths[n + 1]).any():
+            raise ValueError(f"links of round {n} do not fit its nodes and those of round {n + 1}")
+    return [p.tolist() for p in positions], [link.T.tolist() for link in links]
 
 
 def check_superreplication(
     game: GameSpec,
     payoff: Payoff,
     alpha: float,
-    strategy,
+    strategy: Strategy,
     tolerance: float = 1e-9,
     budget: int = 10**7,
 ) -> VerificationReport:
     """Replay a strategy on every path and report the worst slack.
 
     The slack on a path is alpha + sum_n M_n * x_n - f(path); the strategy
-    superreplicates from alpha iff the minimum slack is >= -tolerance.
-    Strategy keys may be lattice or path shaped (detected from the root
-    key); pruned strategies are refused because a pruned value is only a
-    lower bound on the upper price, not a superhedging level.
+    superreplicates from alpha iff the minimum slack is >= -tolerance.  The
+    replay follows the strategy's links from the root, so it needs a link
+    for every move: pruned strategies, which link only the extremal pair,
+    are refused because a pruned value is only a lower bound on the upper
+    price, not a superhedging level.
     """
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     leaves = moves.size**rounds
     if leaves > budget:
         raise BudgetError(f"{leaves} paths exceed the budget of {budget}")
-    kind = _detect_kind(strategy)
-    if kind == "pruned":
-        raise ValueError("pruned strategies are not superhedging certificates")
+    positions, children = _replay_lists(strategy, game)
     members = moves.members
     member_floats = [float(a) for a in members]
 
     min_slack = math.inf
     worst: tuple[Fraction, ...] = ()
     checked = 0
-    # stack entries: (round, exact sum, path, capital, inherited pair tag)
-    stack: list[tuple[int, Fraction, tuple, float, tuple | None]] = [
-        (0, Fraction(0), (), 0.0, None)
-    ]
+    # stack entries: (round, node, path, capital)
+    stack: list[tuple[int, int, tuple, float]] = [(0, 0, (), 0.0)]
     while stack:
-        n, s, path, capital, tag = stack.pop()
+        n, i, path, capital = stack.pop()
         if n == rounds:
             value = payoff_value_on_path(payoff, scale, path)
             slack = alpha + capital - value
@@ -114,13 +119,9 @@ def check_superreplication(
             if slack < min_slack:
                 min_slack, worst = slack, path
             continue
-        key = node_key(kind, n, s, path, tag)
-        try:
-            position = strategy[key]
-        except KeyError:
-            raise ValueError(f"strategy is missing the node key {key!r}") from None
-        for a, fa in zip(members, member_floats):
-            stack.append((n + 1, s + a, path + (a,), capital + position * fa, None))
+        position = positions[n][i]
+        for a, fa, child in zip(members, member_floats, children[n][i]):
+            stack.append((n + 1, child, path + (a,), capital + position * fa))
     return VerificationReport(
         min_slack=min_slack,
         worst_path=worst,
@@ -133,7 +134,7 @@ def check_replication(
     game: GameSpec,
     payoff: Payoff,
     alpha: float,
-    strategy,
+    strategy: Strategy,
     side: Side,
     tolerance: float = 1e-9,
 ) -> VerificationReport:
@@ -146,7 +147,7 @@ def check_replication(
     """
     if side is Side.UPPER:
         return check_superreplication(game, payoff, alpha, strategy, tolerance)
-    negated = {key: -m for key, m in strategy.items()}
+    negated = replace(strategy, positions=tuple(-p for p in strategy.positions))
     return check_superreplication(game, negate_payoff(payoff), -alpha, negated, tolerance)
 
 

@@ -336,6 +336,18 @@ def test_lp_budget_exit(capsys):
     assert "exceeds 100 entries" in err
 
 
+def test_lp_solver_failure_is_exit_two(capsys, monkeypatch):
+    def capped(problem, *args, **kwargs):
+        raise RuntimeError("simplex did not terminate within the iteration cap")
+
+    monkeypatch.setattr(lp, "solve_min", capped)
+    code, out, err = run_cli(
+        capsys, "lp", "--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "iteration cap" in err
+
+
 # --- verify and fuzz -------------------------------------------------------------
 
 

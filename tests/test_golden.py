@@ -1,10 +1,10 @@
 """Bit-identity of the induction routes against pinned fingerprints.
 
 Each pinned game stores ``price.hex()`` and sha256 digests over the sorted
-``(repr(key), value.hex())`` items of ``strategy`` and ``node_values`` and
-the sorted ``(repr(key), pair)`` items of ``measure``.  A refactor of the
-backward pass that changes a single bit of a value, a key or an extremal
-pair fails here.
+``(repr(name), value.hex())`` items of the strategy's positions and of
+``node_values`` and the sorted ``(repr(name), pair)`` items of ``measure``,
+each node named by ``result.names``.  A refactor of the backward pass that
+changes a single bit of a value, a name or an extremal pair fails here.
 
 Regenerate the pinned file (only from a commit whose results are the
 reference) with::
@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gamehedge import (
@@ -94,13 +95,19 @@ def _digest(items) -> str:
     return hashlib.sha256(repr(sorted(items)).encode()).hexdigest()
 
 
+def _named(result, arrays, render):
+    """(repr(name), rendered value) of every node of the per-round arrays."""
+    return ((repr(key), render(v)) for n, values in enumerate(arrays)
+            for key, v in zip(result.names(n), values.tolist()))
+
+
 def fingerprint(result) -> dict:
     return {
         "price": result.price.hex(),
-        "strategy": _digest((repr(k), v.hex()) for k, v in result.strategy.items()),
-        "node_values": _digest((repr(k), v.hex()) for k, v in result.node_values.items()),
-        "measure": _digest((repr(k), node.pair) for k, node in result.measure.items()),
-        "nodes": len(result.node_values),
+        "strategy": _digest(_named(result, result.strategy.positions, float.hex)),
+        "node_values": _digest(_named(result, result.node_values, float.hex)),
+        "measure": _digest(_named(result, result.measure, lambda row: result.pairs[row].pair)),
+        "nodes": sum(len(values) for values in result.node_values),
     }
 
 
@@ -110,8 +117,8 @@ def test_bit_identical_to_pinned(name):
     result = CASES[name]()
     assert fingerprint(result) == pinned[name]
     assert type(result.price) is float
-    for mapping in (result.strategy, result.node_values):
-        assert all(type(v) is float for v in mapping.values())
+    for arrays in (result.strategy.positions, result.node_values):
+        assert all(values.dtype == np.float64 for values in arrays)
 
 
 def test_every_case_is_pinned():

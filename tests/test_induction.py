@@ -17,13 +17,14 @@ from gamehedge import (
     PruneSchedule,
     Side,
     binomial_prices,
+    build_problem,
     extract_measure,
-    lp_price,
     price_european,
     price_path_dependent,
     price_pruned,
     step_strategy,
 )
+from gamehedge.lp import solve_side
 from conftest import random_game, random_piecewise
 
 
@@ -47,17 +48,19 @@ def test_constant_payoff(trinomial):
     game = GameSpec.scaled(trinomial, 12)
     result = price_european(game, payoff, Side.UPPER)
     assert result.price == pytest.approx(3.25, abs=1e-12)
-    assert all(abs(m) <= 1e-12 for m in result.strategy.values())
+    assert all(abs(m) <= 1e-12 for p in result.strategy.positions for m in p)
 
 
 def test_node_keys_are_exact_sums(trinomial, butterfly):
     game = GameSpec(trinomial, 2, 1.0)
     result = price_european(game, butterfly, Side.UPPER)
-    assert (0, F(0)) in result.strategy
-    assert (1, F(-1)) in result.strategy and (1, F(2)) in result.strategy
-    assert (2, F(4)) in result.node_values
+    assert result.names(0) == [(0, F(0))]
+    assert (1, F(-1)) in result.names(1) and (1, F(2)) in result.names(1)
+    assert (2, F(4)) in result.names(2)
     # collapsed lattice: 2 rounds of {-1,1,2} reach 6 sums at round 2
-    assert sum(1 for (n, _) in result.node_values if n == 2) == 6
+    assert len(result.node_values[2]) == 6
+    # the root's move 2 leads to the node named (1, 2)
+    assert result.names(1)[result.strategy.links[0][2, 0]] == (1, F(2))
 
 
 def test_path_dependent_product():
@@ -69,8 +72,36 @@ def test_path_dependent_product():
     assert up.price == pytest.approx(0.0, abs=1e-12)
     assert lo.price == pytest.approx(0.0, abs=1e-12)
     assert up.key_kind == "path"
-    assert () in up.strategy
-    assert (F(-1), F(1)) in up.node_values
+    assert up.names(0) == [()]
+    assert (F(-1), F(1)) in up.names(2)
+
+
+def test_links_lead_to_the_node_of_each_move(butterfly):
+    moves = MoveSpace.from_moves([-1, F(1, 3), F(1, 2), 2])
+    game = GameSpec.scaled(moves, 4)
+    pruned = price_pruned(game, butterfly, PruneSchedule(3))
+    for result in (price_european(game, butterfly, Side.LOWER),
+                   price_path_dependent(game, butterfly, Side.UPPER), pruned):
+        for n, links in enumerate(result.strategy.links):
+            parents, children = result.names(n), result.names(n + 1)
+            for m, a in enumerate(moves.members):
+                for parent, j in zip(parents, links[m].tolist()):
+                    if j < 0:
+                        continue
+                    if result.key_kind == "path":
+                        assert children[j] == parent + (a,)
+                    else:
+                        assert children[j][:2] == (n + 1, parent[1] + a)
+    # a pruned node links exactly its extremal pair's two moves, into that
+    # pair's group where the next round inherits it
+    for n, links in enumerate(pruned.strategy.links):
+        inherits = (n + 1) % 3 != 0 and n + 1 < game.rounds
+        for i, row in enumerate(pruned.measure[n].tolist()):
+            pair = pruned.pairs[row].pair
+            linked = [m for m in range(moves.size) if links[m, i] >= 0]
+            assert linked == [moves.n_negative - 1 - pair[0], moves.n_negative + pair[1]]
+            for m in linked:
+                assert pruned.names(n + 1)[links[m, i]][2] == (pair if inherits else None)
 
 
 def test_path_dependent_budget():
@@ -131,7 +162,7 @@ def test_agrees_with_lp(trinomial, butterfly):
         game = GameSpec.scaled(trinomial, rounds)
         for side in Side:
             assert price_european(game, butterfly, side).price == pytest.approx(
-                lp_price(game, butterfly, side), abs=1e-9
+                solve_side(build_problem(game, butterfly), side), abs=1e-9
             )
 
 
@@ -231,9 +262,8 @@ def test_prune_schedule_validation(trinomial, butterfly):
 
 
 def _states_per_round(result, rounds: int) -> list[int]:
-    counts = [0] * (rounds + 1)
-    for n, _ in result.node_values:
-        counts[n] += 1
+    counts = [len(values) for values in result.node_values]
+    assert len(counts) == rounds + 1
     return counts
 
 

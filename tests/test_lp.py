@@ -19,7 +19,6 @@ from gamehedge import (
     build_matrix,
     build_problem,
     dual_vertex_enumerate,
-    lp_price,
     negate_payoff,
     price_european,
     solve_min,
@@ -126,8 +125,9 @@ def test_lp_matches_induction(trinomial, butterfly):
         game = GameSpec.scaled(trinomial, rounds)
         want_up = price_european(game, butterfly, Side.UPPER).price
         want_lo = price_european(game, butterfly, Side.LOWER).price
-        assert lp_price(game, butterfly, Side.UPPER) == pytest.approx(want_up, abs=1e-9)
-        assert lp_price(game, butterfly, Side.LOWER) == pytest.approx(want_lo, abs=1e-9)
+        problem = build_problem(game, butterfly)
+        assert solve_side(problem, Side.UPPER) == pytest.approx(want_up, abs=1e-9)
+        assert solve_side(problem, Side.LOWER) == pytest.approx(want_lo, abs=1e-9)
 
 
 def test_lower_side_is_the_lp_of_the_negated_payoff():
@@ -168,7 +168,7 @@ def test_lower_side_is_the_lp_of_the_negated_payoff():
 def test_simplex_ignores_noise_sized_entries(members, rounds, payoff, side, want):
     game = GameSpec(MoveSpace.from_moves(members), rounds, 1.0)
     assert price_european(game, payoff, side).price == want
-    assert lp_price(game, payoff, side) == pytest.approx(want, abs=1e-9)
+    assert solve_side(build_problem(game, payoff), side) == pytest.approx(want, abs=1e-9)
 
 
 def test_lp_matches_scipy_linprog():

@@ -3,8 +3,8 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import replace
-from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from gamehedge import (
@@ -14,6 +14,7 @@ from gamehedge import (
     PathDependent,
     PruneSchedule,
     Side,
+    Strategy,
     audit_measure,
     check_superreplication,
     fuzz_cross_routes,
@@ -54,7 +55,8 @@ def test_zero_strategy_needs_the_maximum(trinomial, butterfly):
     game = GameSpec(trinomial, 2, 1.0)
     paths = list(itertools.product(trinomial.members, repeat=2))
     alpha = max(payoff_value_on_path(butterfly, 1.0, p) for p in paths)
-    strategy = {(n, s): 0.0 for n in range(2) for s in {sum(p[:n], F(0)) for p in paths}}
+    links = price_european(game, butterfly, Side.UPPER).strategy.links
+    strategy = Strategy((np.zeros(1), np.zeros(3)), links)
     report = check_superreplication(game, butterfly, alpha, strategy)
     assert report.passed
     assert report.min_slack == 0.0
@@ -85,12 +87,22 @@ def test_replay_budget(trinomial, butterfly):
         check_superreplication(game, butterfly, result.price, result.strategy, budget=10)
 
 
-def test_missing_node_key_is_reported(trinomial, butterfly):
+def test_missing_link_is_reported(trinomial, butterfly):
     game = GameSpec(trinomial, 2, 1.0)
     result = price_european(game, butterfly, Side.UPPER)
-    strategy = dict(result.strategy)
-    del strategy[(1, F(1))]
-    with pytest.raises(ValueError, match="missing the node key"):
+    links = [link.copy() for link in result.strategy.links]
+    links[1][1, 2] = -1
+    strategy = replace(result.strategy, links=tuple(links))
+    with pytest.raises(ValueError, match="no link for a move at round 1"):
+        check_superreplication(game, butterfly, result.price, strategy)
+    # a strategy of another game does not fit, rather than indexing silently
+    longer = GameSpec(trinomial, 3, 1.0)
+    with pytest.raises(ValueError, match="the game has 3"):
+        check_superreplication(longer, butterfly, result.price, result.strategy)
+    links = [link.copy() for link in result.strategy.links]
+    links[0][1, 0] = 3
+    strategy = replace(result.strategy, links=tuple(links))
+    with pytest.raises(ValueError, match="do not fit its nodes and those of round 1"):
         check_superreplication(game, butterfly, result.price, strategy)
 
 
