@@ -128,7 +128,7 @@ def cmd_price(args) -> int:
 
     if args.export_result:
         with open(args.export_result, "w", encoding="utf-8") as handle:
-            json.dump(result_to_json(result), handle, indent=2)
+            result_to_json(result, handle)
             handle.write("\n")
 
     out = {

@@ -15,11 +15,10 @@ import math
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Union
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
-
-Rational = Fraction
 
 #: Export name of a node: (round, sum) on the collapsed lattice, a tuple of
 #: moves for path-keyed trees, or (round, sum, inherited pair) for pruned runs.
@@ -31,9 +30,6 @@ class Side(str, Enum):
 
     UPPER = "upper"
     LOWER = "lower"
-
-    def flipped(self) -> "Side":
-        return Side.LOWER if self is Side.UPPER else Side.UPPER
 
 
 class BudgetError(RuntimeError):
@@ -413,27 +409,39 @@ def _key_string(key: NodeKey, kind: str) -> str:
     return f"{n}|{s}"
 
 
-def result_to_json(result: PriceResult) -> dict:
-    """JSON-friendly dict for a PriceResult: the per-node maps are keyed by
-    the rendered node names, latest round first."""
-    out: dict = {"price": result.price, "side": result.side.value, "key_kind": result.key_kind}
+_ENTRY = ",\n    "  # between the entries of a per-node map
+
+
+def result_to_json(result: PriceResult, handle: TextIO) -> None:
+    """Write a PriceResult as ``json.dump(..., indent=2)`` writes the dict of
+    price, side, key_kind (and prune_period) and the per-node maps strategy,
+    measure and node_values, keyed by the rendered node names, latest round
+    first.  The maps go out a round at a time, never whole in memory."""
+    head = {"price": result.price, "side": result.side.value, "key_kind": result.key_kind}
     if result.prune_period is not None:
-        out["prune_period"] = result.prune_period
+        head["prune_period"] = result.prune_period
     names = [[_key_string(k, result.key_kind) for k in result.names(n)]
              for n in range(len(result.node_values))]
-    pairs = [
-        {"pair": list(node.pair), "prob_neg": str(node.prob_neg), "prob_pos": str(node.prob_pos)}
-        for node in result.pairs
-    ]
+    blocks = [json.dumps({"pair": list(node.pair), "prob_neg": str(node.prob_neg),
+                          "prob_pos": str(node.prob_pos)}, indent=2).replace("\n", "\n    ")
+              for node in result.pairs]
 
-    def nodes(arrays, render=lambda v: v) -> dict:
-        return {key: render(v) for n in reversed(range(len(arrays)))
-                for key, v in zip(names[n], arrays[n].tolist())}
+    def floats(keys: list[str], values: np.ndarray) -> str:
+        return json.dumps(dict(zip(keys, values.tolist())), separators=(_ENTRY, ": "))[1:-1]
 
-    out["strategy"] = nodes(result.strategy.positions)
-    out["measure"] = nodes(result.measure, pairs.__getitem__)
-    out["node_values"] = nodes(result.node_values)
-    return out
+    def measures(keys: list[str], rows: np.ndarray) -> str:
+        return _ENTRY.join(f"{encode_basestring_ascii(key)}: {blocks[row]}"
+                           for key, row in zip(keys, rows.tolist()))
+
+    handle.write(json.dumps(head, indent=2)[:-2])
+    for label, arrays, render in (("strategy", result.strategy.positions, floats),
+                                  ("measure", result.measure, measures),
+                                  ("node_values", result.node_values, floats)):
+        handle.write(f',\n  "{label}": {{\n    ')
+        for i, n in enumerate(reversed(range(len(arrays)))):
+            handle.write((_ENTRY if i else "") + render(names[n], arrays[n]))
+        handle.write("\n  }")
+    handle.write("\n}")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +480,8 @@ def payoff_to_json(payoff: Payoff) -> dict:
 def _json_number(value, field: str):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"payoff field {field!r} must be a number, not {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"payoff field {field!r} must be finite, not {value!r}")
     return value
 
 

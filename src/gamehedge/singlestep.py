@@ -10,13 +10,11 @@ minimizing) pair carries the extremal zero-mean measure and the optimal
 one-step position.  ``best_pair`` evaluates that step for a whole level of
 nodes at once and ``clamp_position`` turns the extremal chord slopes into
 replicating positions; the lattice, tree and pruned inductions only supply
-the child values.  ``step_strategy`` prices a single node.
+the child values.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping
 
 import numpy as np
 
@@ -128,23 +126,3 @@ def replicating_step(
     values, index, slope = best_pair(children[pairs.neg], children[pairs.pos], pairs, side)
     return values, index, clamp_position(values, slope, pairs.moves, children, side)
 
-
-def step_strategy(
-    moves: MoveSpace, values: Mapping[Fraction, float], side: Side
-) -> tuple[float, float, RiskNeutralNode]:
-    """One-node price, replicating position and extremal measure.
-
-    The position is the extremal pair's chord slope
-    M = (v(a_pos) - v(a_neg)) / (a_pos - a_neg), clamped so that with the
-    price alpha it satisfies alpha + M*a >= v(a) (<= for LOWER) at every
-    move a, binding on the extremal pair (or on the clamping move).  The
-    measure's ``pair`` names the extremal pair.
-    """
-    missing = [a for a in moves.members if a not in values]
-    if missing:
-        raise ValueError(f"values missing for moves: {missing}")
-    pairs = PairTable.of(moves)
-    best, index, position = replicating_step(
-        np.array([[values[a]] for a in moves.members]), pairs, side
-    )
-    return float(best[0]), float(position[0]), pairs.nodes[index[0]]

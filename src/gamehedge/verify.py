@@ -14,17 +14,21 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from . import induction, lp
 from .model import (
     BudgetError,
     GameSpec,
     MoveSpace,
+    PathDependent,
     Payoff,
     PiecewiseLinear,
     PriceResult,
     Side,
     Strategy,
+    evaluate_payoff,
     negate_payoff,
     payoff_value_on_path,
 )
@@ -62,11 +66,11 @@ class FuzzSummary:
         return not self.failures
 
 
-def _replay_lists(strategy: Strategy, game: GameSpec) -> tuple[list, list]:
-    """Positions per round and, per node, the child of each move, as lists.
+_BLOCK = 1 << 16  # leaves replayed per numpy block
 
-    Refuses a strategy that does not fit the game or has no link for a move.
-    """
+
+def _check_links(strategy: Strategy, game: GameSpec) -> None:
+    """Refuse a strategy that does not fit the game or has no link for a move."""
     positions, links = strategy.positions, strategy.links
     widths = [len(p) for p in positions] + [math.inf]  # a strategy does not count the leaves
     if len(positions) != game.rounds or len(links) != game.rounds:
@@ -77,7 +81,6 @@ def _replay_lists(strategy: Strategy, game: GameSpec) -> tuple[list, list]:
                              "pruned strategies are not superhedging certificates")
         if link.shape != (game.moves.size, widths[n]) or (link >= widths[n + 1]).any():
             raise ValueError(f"links of round {n} do not fit its nodes and those of round {n + 1}")
-    return [p.tolist() for p in positions], [link.T.tolist() for link in links]
 
 
 def check_superreplication(
@@ -96,36 +99,49 @@ def check_superreplication(
     for every move: pruned strategies, which link only the extremal pair,
     are refused because a pruned value is only a lower bound on the upper
     price, not a superhedging level.
+
+    Leaf l moves by its base-k digit n (most significant first) at round n,
+    so leaves run in lexicographic path order.  They are replayed in numpy
+    blocks with the float operations of a path-by-path walk and an exact
+    terminal sum.  On equal slacks the lexicographically last path is
+    reported; a NaN slack counts as the minimum, so it fails.
     """
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
-    leaves = moves.size**rounds
+    k, members = moves.size, moves.members
+    leaves = k**rounds
     if leaves > budget:
         raise BudgetError(f"{leaves} paths exceed the budget of {budget}")
-    positions, children = _replay_lists(strategy, game)
-    members = moves.members
-    member_floats = [float(a) for a in members]
+    _check_links(strategy, game)
+    move_floats = np.array([float(a) for a in members])
+    denom = math.lcm(*(a.denominator for a in members))
+    exact = np.int64 if max(map(abs, members)) * denom * rounds < 2**63 else object  # no wrap
+    numerators = np.array([int(a * denom) for a in members], dtype=exact)
 
-    min_slack = math.inf
-    worst: tuple[Fraction, ...] = ()
-    checked = 0
-    # stack entries: (round, node, path, capital)
-    stack: list[tuple[int, int, tuple, float]] = [(0, 0, (), 0.0)]
-    while stack:
-        n, i, path, capital = stack.pop()
-        if n == rounds:
-            value = payoff_value_on_path(payoff, scale, path)
-            slack = alpha + capital - value
-            checked += 1
-            if slack < min_slack:
-                min_slack, worst = slack, path
-            continue
-        position = positions[n][i]
-        for a, fa, child in zip(members, member_floats, children[n][i]):
-            stack.append((n + 1, child, path + (a,), capital + position * fa))
+    worst = []  # (slack, path) of each block's last minimum
+    for start in range(0, leaves, _BLOCK):
+        leaf = np.arange(start, min(start + _BLOCK, leaves))
+        node, capital, total, digits = 0, 0.0, 0, []
+        for n in range(rounds):
+            d = leaf // k ** (rounds - 1 - n) % k
+            capital = capital + strategy.positions[n][node] * move_floats[d]
+            node = strategy.links[n][d, node]
+            total = total + numerators[d]
+            digits.append(d)
+        if isinstance(payoff, PathDependent):
+            paths = (scale * move_floats)[np.stack(digits, axis=1)].tolist()
+            values = np.array([payoff.evaluator(tuple(p)) for p in paths], dtype=np.float64)
+        else:
+            sums, inverse = np.unique(total, return_inverse=True)
+            values = np.array([evaluate_payoff(payoff, scale * (int(s) / denom))
+                               for s in sums], dtype=np.float64)[inverse]
+        slack = alpha + capital - values
+        last = -1 - int(np.argmin(slack[::-1]))
+        worst.append((float(slack[last]), tuple(members[d[last]] for d in digits)))
+    min_slack, path = worst[-1 - int(np.argmin([s for s, _ in worst][::-1]))]
     return VerificationReport(
         min_slack=min_slack,
-        worst_path=worst,
-        paths_checked=checked,
+        worst_path=path,
+        paths_checked=leaves,
         passed=min_slack >= -tolerance,
     )
 
@@ -183,7 +199,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
     expectation = math.fsum(expectation_terms)
     if total != 1:
         ok = False
-    if abs(expectation - result.price) > tolerance:
+    if not abs(expectation - result.price) <= tolerance:
         ok = False
     return MeasureAudit(
         total_probability=total,

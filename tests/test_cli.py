@@ -413,6 +413,8 @@ def test_bad_payoff_is_exit_two(capsys):
     '{"kind": "call", "strike": "abc"}',
     '{"kind": "butterfly", "k1": -1, "k2": 0}',
     '{"kind": ["call"], "strike": 1}',
+    '{"kind": "call", "strike": Infinity}',
+    '{"kind": "piecewise_linear", "breakpoints": [[0, 1]], "left_slope": -Infinity}',
 ])
 def test_malformed_payoff_json_is_exit_two(capsys, payoff):
     code, out, err = run_cli(
@@ -421,6 +423,16 @@ def test_malformed_payoff_json_is_exit_two(capsys, payoff):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_nan_payoff_is_exit_two(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--moves=-1,1,2", "--rounds", "3",
+        "--payoff", '{"kind":"piecewise_linear","breakpoints":[[0,NaN]]}',
+    )
+    assert code == 2
+    assert out == ""
+    assert "must be finite" in err
 
 
 def test_timing_goes_to_stderr(capsys):

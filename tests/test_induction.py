@@ -22,10 +22,10 @@ from gamehedge import (
     price_european,
     price_path_dependent,
     price_pruned,
-    step_strategy,
 )
 from gamehedge.lp import solve_side
 from conftest import random_game, random_piecewise
+from test_singlestep import step_strategy
 
 
 def test_one_step_reduction(trinomial, butterfly):

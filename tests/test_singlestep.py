@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,9 +14,28 @@ from gamehedge import (
     Side,
     build_problem,
     solve_min,
-    step_strategy,
 )
+from gamehedge.singlestep import PairTable, replicating_step
 from conftest import random_move_space
+
+
+def step_strategy(moves: MoveSpace, values, side: Side):
+    """One-node price, replicating position and extremal measure.
+
+    The position is the extremal pair's chord slope
+    M = (v(a_pos) - v(a_neg)) / (a_pos - a_neg), clamped so that with the
+    price alpha it satisfies alpha + M*a >= v(a) (<= for LOWER) at every
+    move a, binding on the extremal pair (or on the clamping move).  The
+    measure's ``pair`` names the extremal pair.
+    """
+    missing = [a for a in moves.members if a not in values]
+    if missing:
+        raise ValueError(f"values missing for moves: {missing}")
+    pairs = PairTable.of(moves)
+    best, index, position = replicating_step(
+        np.array([[values[a]] for a in moves.members]), pairs, side
+    )
+    return float(best[0]), float(position[0]), pairs.nodes[index[0]]
 
 
 def step_price(moves: MoveSpace, values, side: Side) -> float:

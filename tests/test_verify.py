@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -106,6 +107,16 @@ def test_missing_link_is_reported(trinomial, butterfly):
         check_superreplication(game, butterfly, result.price, strategy)
 
 
+def test_nan_positions_fail_the_replay(trinomial, butterfly):
+    game = GameSpec(trinomial, 2, 1.0)
+    result = price_european(game, butterfly, Side.UPPER)
+    nan = tuple(np.full_like(p, np.nan) for p in result.strategy.positions)
+    report = check_superreplication(game, butterfly, result.price,
+                                    replace(result.strategy, positions=nan))
+    assert math.isnan(report.min_slack)
+    assert not report.passed
+
+
 def test_pruned_strategies_are_refused(trinomial, butterfly):
     game = GameSpec.scaled(trinomial, 4)
     result = price_pruned(game, butterfly, PruneSchedule(2))
@@ -151,6 +162,7 @@ def test_audit_detects_price_corruption(trinomial, butterfly):
     result = price_european(game, butterfly, Side.UPPER)
     corrupted = replace(result, price=result.price + 1e-3)
     assert not audit_measure(game, butterfly, corrupted).passed
+    assert not audit_measure(game, butterfly, replace(result, price=math.nan)).passed
 
 
 # --- fuzz harness -------------------------------------------------------------
