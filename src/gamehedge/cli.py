@@ -8,11 +8,16 @@ deterministic; timings go to stderr behind --timing.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
+import os
 import re
+import stat
 import sys
+import tempfile
 import time
 
 from . import bounds as bounds_mod
@@ -160,6 +165,55 @@ def cmd_price(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Open ``path`` for writing text.
+
+    A regular file (or a new one) is written under a temporary name beside
+    it and renamed onto it when the block ends without error, so a failure
+    leaves ``path`` as it was and no partial file behind.  Anything else (a
+    pipe, a terminal, /dev/null) is written in place.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        return
+    target = os.path.realpath(path)
+    try:
+        fd, staged = tempfile.mkstemp(".partial", os.path.basename(target) + ".",
+                                      os.path.dirname(target))
+    except OSError as exc:  # name the file asked for, not the temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.chmod(staged, stat.S_IMODE(mode))
+        os.replace(staged, target)
+    except BaseException:
+        os.remove(staged)
+        raise
+
+
+def _dump_field(path: str, grid: pde.GridSpec, payoff: Payoff, side: Side,
+                sig_lo: float, sig_hi: float) -> pde.GridSolution:
+    """March the PDE, writing each row to ``path`` as t,s,phi CSV as it is
+    made.  A march that fails part-way leaves ``path`` as it was."""
+    rows = pde.march(grid, payoff, side, sig_lo, sig_hi)
+    s_vals = grid.s_values().tolist()
+    with _replacing(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["t", "s", "phi"])
+        for n, row in enumerate(rows):
+            writer.writerows(zip(itertools.repeat(n * grid.dt), s_vals, row.tolist()))
+    return pde.GridSolution(grid, row, side, sig_lo, sig_hi)
+
+
 def cmd_pde(args) -> int:
     payoff = parse_payoff(args.payoff)
     side = Side(args.side)
@@ -170,29 +224,16 @@ def cmd_pde(args) -> int:
         lo, hi = variances(parse_moves(args.moves))
         sig_lo, sig_hi = float(lo), float(hi)
     started = time.perf_counter()
-    solution = pde.solve(grid, payoff, side, sig_lo, sig_hi)
-    _timing(args, started)
-
     if args.dump_field:
-        s_vals = grid.s_values()
-        rows = []
-        for n in range(grid.n_time + 1):
-            t = n * grid.dt
-            rows.extend(
-                [repr(t), repr(float(s)), repr(float(phi))]
-                for s, phi in zip(s_vals, solution.field[n])
-            )
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["t", "s", "phi"])
-        writer.writerows(rows)
-        with open(args.dump_field, "w", encoding="utf-8", newline="") as handle:
-            handle.write(buffer.getvalue())
+        solution = _dump_field(args.dump_field, grid, payoff, side, sig_lo, sig_hi)
+    else:
+        solution = pde.solve(grid, payoff, side, sig_lo, sig_hi)
+    _timing(args, started)
 
     _emit_json(
         args,
         {
-            "value_at_origin": pde.value_at(solution, 0.0, grid.horizon),
+            "value_at_origin": pde.value_at(solution, 0.0),
             "side": side.value,
             "sigma_min_sq": sig_lo,
             "sigma_max_sq": sig_hi,
@@ -221,8 +262,8 @@ def cmd_converge(args) -> int:
         lo, hi = variances(moves)
         up_sol = pde.solve(grid, payoff, Side.UPPER, float(lo), float(hi))
         lo_sol = pde.solve(grid, payoff, Side.LOWER, float(lo), float(hi))
-        pde_upper = pde.value_at(up_sol, 0.0, grid.horizon)
-        pde_lower = pde.value_at(lo_sol, 0.0, grid.horizon)
+        pde_upper = pde.value_at(up_sol, 0.0)
+        pde_lower = pde.value_at(lo_sol, 0.0)
 
     started = time.perf_counter()
     rows = []

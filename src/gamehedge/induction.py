@@ -69,12 +69,19 @@ def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, nam
     )
 
 
-def _integer_moves(moves: MoveSpace) -> tuple[int, np.ndarray]:
-    """Common denominator of the moves and the moves times it, ascending."""
+def _integer_moves(moves: MoveSpace, rounds: int) -> tuple[int, np.ndarray]:
+    """Common denominator of the moves and the moves times it, ascending.
+
+    Raises ValueError when a sum of ``rounds`` of them could leave int64.
+    """
     denom = math.lcm(*(a.denominator for a in moves.members))
-    return denom, np.array(
-        [a.numerator * (denom // a.denominator) for a in moves.members], dtype=np.int64
-    )
+    deltas = [a.numerator * (denom // a.denominator) for a in moves.members]
+    if max(map(abs, deltas)) * rounds >= 2**63:
+        raise ValueError(
+            f"{rounds} rounds of these moves overflow the lattice's int64 sums "
+            f"(common denominator {denom})"
+        )
+    return denom, np.array(deltas, dtype=np.int64)
 
 
 def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) -> np.ndarray:
@@ -91,7 +98,7 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
         raise ValueError("use price_path_dependent for path-dependent payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     pairs = PairTable.of(moves)
-    denom, deltas = _integer_moves(moves)
+    denom, deltas = _integer_moves(moves, rounds)
     # sorted reachable integer sums per round
     levels = [np.zeros(1, dtype=np.int64)]
     for _ in range(rounds):
@@ -155,7 +162,7 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     q = schedule.period
     pairs = PairTable.of(moves)
-    denom, deltas = _integer_moves(moves)
+    denom, deltas = _integer_moves(moves, rounds)
     every_pair = range(len(pairs.nodes))
 
     def groups(n: int) -> list[int | None]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -68,13 +69,29 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class GridSolution:
-    """Solved field, indexed [time step, space node]; row 0 is the payoff."""
+    """The solution at the horizon: one value per space node."""
 
     grid: GridSpec
-    field: np.ndarray
+    values: np.ndarray
     side: Side
     sigma_min_sq: float
     sigma_max_sq: float
+
+
+def march(
+    grid: GridSpec,
+    payoff: Payoff,
+    side: Side,
+    sigma_min_sq: float,
+    sigma_max_sq: float,
+) -> Iterator[np.ndarray]:
+    """Check the arguments, then return an iterator over the scheme's rows.
+
+    Row 0 is the payoff on the grid's space nodes and row n the solution
+    after n time steps.  Each row is a fresh array, so a caller may keep it.
+    Only one row is held between steps.
+    """
+    return _rows(*_start(grid, payoff, side, sigma_min_sq, sigma_max_sq))
 
 
 def solve(
@@ -84,7 +101,16 @@ def solve(
     sigma_min_sq: float,
     sigma_max_sq: float,
 ) -> GridSolution:
-    """March the explicit scheme over the whole grid."""
+    """March the explicit scheme to the horizon and keep the last row."""
+    for row in _rows(*_start(grid, payoff, side, sigma_min_sq, sigma_max_sq)):
+        pass
+    return GridSolution(grid, row, side, sigma_min_sq, sigma_max_sq)
+
+
+def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,
+           sigma_max_sq: float) -> tuple[np.ndarray, int, float, float]:
+    """Check the arguments of march or solve; return the payoff row, the
+    step count and the step weights where phi_ss >= 0 and where it is < 0."""
     if is_path_dependent(payoff):
         raise ValueError("the PDE limit is for European payoffs")
     if not (0 <= sigma_min_sq <= sigma_max_sq) or sigma_max_sq <= 0:
@@ -98,44 +124,37 @@ def solve(
         warnings.warn(
             "sigma_min_sq = 0 degenerates the PDE; the scheme stays monotone "
             "but no convergence rate is claimed",
-            stacklevel=2,
+            stacklevel=3,  # the caller of march or solve
         )
 
-    s = grid.s_values()
-    steps = grid.n_time
-    field = np.empty((steps + 1, s.shape[0]))
-    field[0] = [evaluate_payoff(payoff, x) for x in s]
+    row = np.array([evaluate_payoff(payoff, x) for x in grid.s_values()], dtype=float)
     coef = grid.dt / (2.0 * grid.ds * grid.ds)
-    upper = side is Side.UPPER
+    if side is Side.UPPER:
+        return row, grid.n_time, coef * sigma_max_sq, coef * sigma_min_sq
+    return row, grid.n_time, coef * sigma_min_sq, coef * sigma_max_sq
+
+
+def _rows(
+    row: np.ndarray, steps: int, w_convex: float, w_concave: float
+) -> Iterator[np.ndarray]:
+    yield row
     for n in range(steps):
-        current = field[n]
-        second = current[2:] - 2.0 * current[1:-1] + current[:-2]
-        if upper:
-            sigma2 = np.where(second >= 0.0, sigma_max_sq, sigma_min_sq)
-        else:
-            sigma2 = np.where(second >= 0.0, sigma_min_sq, sigma_max_sq)
-        field[n + 1, 0] = current[0]
-        field[n + 1, -1] = current[-1]
-        field[n + 1, 1:-1] = current[1:-1] + coef * sigma2 * second
-        if not np.isfinite(field[n + 1]).all():
+        second = row[2:] - 2.0 * row[1:-1] + row[:-2]
+        row = row.copy()
+        row[1:-1] += np.where(second >= 0.0, w_convex, w_concave) * second
+        if not np.isfinite(row).all():
             raise RuntimeError(f"field became non-finite at time step {n + 1}")
-    return GridSolution(grid, field, side, sigma_min_sq, sigma_max_sq)
+        yield row
 
 
-def value_at(solution: GridSolution, s: float, t: float) -> float:
-    """Bilinear interpolation of the field at (s, t)."""
+def value_at(solution: GridSolution, s: float) -> float:
+    """Linear interpolation of the horizon row at s."""
     g = solution.grid
     eps = 1e-9
-    if not (g.s_min - eps <= s <= g.s_max + eps) or not (-eps <= t <= g.horizon + eps):
-        raise ValueError(f"({s}, {t}) is outside the grid")
+    if not (g.s_min - eps <= s <= g.s_max + eps):
+        raise ValueError(f"s = {s} is outside the grid")
     x = min(max((s - g.s_min) / g.ds, 0.0), float(g.n_space))
-    tau = min(max(t / g.dt, 0.0), float(g.n_time))
     i0 = min(int(x), g.n_space - 1)
-    n0 = min(int(tau), g.n_time - 1)
-    fx, ft = x - i0, tau - n0
-    f = solution.field
-    return float(
-        (1 - ft) * ((1 - fx) * f[n0, i0] + fx * f[n0, i0 + 1])
-        + ft * ((1 - fx) * f[n0 + 1, i0] + fx * f[n0 + 1, i0 + 1])
-    )
-
+    fx = x - i0
+    v = solution.values
+    return float((1 - fx) * v[i0] + fx * v[i0 + 1])

@@ -67,6 +67,9 @@ class FuzzSummary:
 
 
 _BLOCK = 1 << 16  # leaves replayed per numpy block
+# supported paths one audit may walk: about 40 us each in Fractions, so
+# roughly 10 s at the limit
+_AUDIT_BUDGET = 1 << 18
 
 
 def _check_links(strategy: Strategy, game: GameSpec) -> None:
@@ -175,6 +178,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
     with exactly zero mean (hence zero conditional expected capital
     increment).  Checks overall: path probabilities sum to one exactly and
     the measure's expected payoff reproduces the price within tolerance.
+    Raises BudgetError once the walk passes _AUDIT_BUDGET supported paths.
     """
     moves, scale = game.moves, game.payoff_scale
     nodes_checked = 0
@@ -184,6 +188,8 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
 
     for path, prob, node in induction.measure_walk(result, game):
         if node is None:
+            if len(expectation_terms) == _AUDIT_BUDGET:
+                raise BudgetError(f"supported paths exceed the budget of {_AUDIT_BUDGET}")
             total += prob
             expectation_terms.append(float(prob) * payoff_value_on_path(payoff, scale, path))
             continue

@@ -67,7 +67,7 @@ def pde_values():
     upper = solve(grid, BFLY, Side.UPPER, 1.0, 2.0)
     lower = solve(grid, BFLY, Side.LOWER, 1.0, 2.0)
     elapsed = time.perf_counter() - started
-    return (value_at(upper, 0.0, 1.0), value_at(lower, 0.0, 1.0)), elapsed
+    return (value_at(upper, 0.0), value_at(lower, 0.0)), elapsed
 
 
 def test_criterion_01_scaled_price_table(lattice_prices):

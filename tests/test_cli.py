@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from gamehedge import bounds, induction, lp
+from gamehedge import bounds, induction, lp, verify
 from gamehedge.cli import main, parse_moves, parse_payoff
 from gamehedge import Butterfly, Call, PiecewiseLinear, Put, Sine
 
@@ -187,6 +189,106 @@ def test_pde_dump_field(capsys, tmp_path):
     assert len(rows) == 1 + 11 * 9  # (n_time+1) * (n_space+1)
 
 
+# sha256 of the CSV written by the original whole-field solver, pinned
+# before --dump-field streamed its rows
+DUMP_SHA256 = {
+    "upper": "738b0934d5b6a82af29de3447a36c49814b1e93003ea63dff6e3a7c78c76ab67",
+    "lower": "9dbfd791a924588531aa92a1ef3108a449555bc137cef0186d6de9e532d33309",
+}
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_pde_dump_field_bytes_are_pinned(capsys, tmp_path, side):
+    target = tmp_path / "field.csv"
+    code, out, _ = run_json(
+        capsys, "pde", "--payoff", BUTTERFLY, "--moves=-1,1,2", "--s-range=-2,2",
+        "--ds", "1/10", "--dt", "1/250", "--side", side, "--dump-field", str(target),
+    )
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == DUMP_SHA256[side]
+    last = target.read_text().splitlines()[-21]  # s = 0 in the horizon row
+    assert last == f"1.0,0.0,{out['value_at_origin']!r}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--moves=-1,1,2", "--payoff", BUTTERFLY, "--dt", "1/100"],  # unstable
+    ["--sigma2", "2,1", "--payoff", BUTTERFLY],  # empty band
+    ["--sigma2", "1,2", "--payoff", "gibberish"],
+])
+def test_pde_dump_field_refused_writes_no_file(capsys, tmp_path, argv):
+    target = tmp_path / "field.csv"
+    code, out, err = run_cli(capsys, "pde", *argv, "--dump-field", str(target))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert not target.exists()
+
+
+NON_FINITE = ["pde", "--sigma2", "1,2", "--payoff", "[[0,1e308]]"]
+
+
+def test_pde_dump_field_failing_march_leaves_no_partial_file(capsys, tmp_path):
+    target = tmp_path / "field.csv"
+    with pytest.warns(RuntimeWarning):
+        code, out, err = run_cli(capsys, *NON_FINITE, "--dump-field", str(target))
+    assert code == 2
+    assert out == ""
+    assert "field became non-finite at time step 1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pde_dump_field_failing_march_keeps_an_existing_file(capsys, tmp_path):
+    target = tmp_path / "field.csv"
+    target.write_text("kept\n")
+    target.chmod(0o640)
+    with pytest.warns(RuntimeWarning):
+        code, _, _ = run_cli(capsys, *NON_FINITE, "--dump-field", str(target))
+    assert code == 2
+    assert target.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [target]
+    argv = ["pde", "--payoff", BUTTERFLY, "--sigma2", "1,2", "--s-range=-2,2",
+            "--ds", "1/2", "--dt", "1/10", "--dump-field", str(target)]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert target.read_text().startswith("t,s,phi\n")
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_pde_dump_field_new_file_has_the_usual_mode(capsys, tmp_path):
+    target = tmp_path / "field.csv"
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = ["pde", "--payoff", BUTTERFLY, "--sigma2", "1,2", "--s-range=-2,2",
+            "--ds", "1/2", "--dt", "1/10", "--dump-field", str(target)]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_pde_dump_field_missing_directory_names_the_path(capsys, tmp_path):
+    target = tmp_path / "missing" / "field.csv"
+    code, out, err = run_cli(capsys, "pde", "--payoff", BUTTERFLY, "--sigma2", "1,2",
+                             "--dump-field", str(target))
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{target}'\n"
+
+
+def test_pde_dump_field_writes_through_links(capsys, tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    device = tmp_path / "null"
+    device.symlink_to("/dev/null")
+    argv = ["pde", "--payoff", BUTTERFLY, "--sigma2", "1,2", "--s-range=-2,2",
+            "--ds", "1/2", "--dt", "1/10", "--dump-field"]
+    assert run_cli(capsys, *argv, str(link))[0] == 0
+    assert link.is_symlink() and real.read_text().startswith("t,s,phi\n")
+    assert run_cli(capsys, *argv, str(device))[0] == 0
+    with pytest.warns(RuntimeWarning):
+        assert run_cli(capsys, *NON_FINITE, "--dump-field", str(device))[0] == 2
+    assert device.is_symlink() and device.resolve() == Path("/dev/null")
+    assert sorted(tmp_path.iterdir()) == [link, device, real]
+
+
 # --- converge and sweep-quad ---------------------------------------------------
 
 
@@ -327,6 +429,15 @@ def test_lp_dump(capsys, tmp_path):
     assert "VARS alpha M1 M2|a1 M2|a2 M2|a3" in text
 
 
+def test_audit_budget_exit(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "_AUDIT_BUDGET", 1)
+    code, out, err = run_cli(
+        capsys, "verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
+    )
+    assert code == 3
+    assert out == "" and err == "error: supported paths exceed the budget of 1\n"
+
+
 def test_lp_budget_exit(capsys):
     code, _, err = run_cli(
         capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
@@ -406,6 +517,20 @@ def test_bad_payoff_is_exit_two(capsys):
     )
     assert code == 2
     assert "cannot parse payoff" in err
+
+
+@pytest.mark.parametrize("extra", [[], ["--prune", "2"]])
+@pytest.mark.parametrize("moves, rounds", [
+    ("-1,1/2305843009213693952", "5"),  # 5 * 2^61 wraps the int64 lattice sums
+    ("-1,9223372036854775808", "1"),  # a numerator past int64
+])
+def test_lattice_overflow_is_exit_two(capsys, moves, rounds, extra):
+    code, out, err = run_cli(
+        capsys, "price", f"--moves={moves}", "--rounds", rounds, "--payoff", "call(0)", *extra
+    )
+    assert code == 2
+    assert out == ""
+    assert "int64" in err
 
 
 @pytest.mark.parametrize("payoff", [

@@ -281,3 +281,17 @@ def test_levels_count_bound():
     result = price_european(game, Call(0.0), Side.UPPER)
     for n, count in enumerate(_states_per_round(result, game.rounds)):
         assert count <= math.comb(n + 2, 2)
+
+
+def test_lattice_sums_past_int64_are_refused():
+    # 5 * 2^61 would wrap the all-down sum to 3; the tree route keeps such
+    # sums exact (test_replay.py::test_sums_past_int64_are_exact)
+    moves = MoveSpace.from_moves([F(-1), F(1, 2**61)])
+    game = GameSpec(moves, 5, 1.0)
+    with pytest.raises(ValueError, match="int64"):
+        price_european(game, Call(0.0), Side.UPPER)
+    with pytest.raises(ValueError, match="int64"):
+        price_pruned(game, Call(0.0), PruneSchedule(2))
+    # 3 * 2^61 still fits
+    result = price_european(GameSpec(moves, 3, 1.0), Call(0.0), Side.UPPER)
+    assert result.names(3)[0] == (3, F(-3))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,17 +9,60 @@ import pytest
 from gamehedge import (
     Call,
     GridSpec,
+    PathDependent,
     PiecewiseLinear,
     Side,
     Sine,
     StabilityError,
+    march,
     solve,
     value_at,
 )
 from gamehedge.cli import main
+from gamehedge.model import evaluate_payoff
 
 
 WIDE = GridSpec(-6.0, 6.0, 0.1, 1.0 / 300.0)
+NARROW = GridSpec(-2.0, 2.0, 0.1, 1.0 / 300.0)
+
+
+def full_field(grid, payoff, side, sigma_min_sq, sigma_max_sq):
+    """Oracle: the whole [time step, space node] field, marched with the
+    per-node variance array of the original scheme."""
+    s = grid.s_values()
+    field = np.empty((grid.n_time + 1, s.shape[0]))
+    field[0] = [evaluate_payoff(payoff, x) for x in s]
+    coef = grid.dt / (2.0 * grid.ds * grid.ds)
+    upper = side is Side.UPPER
+    for n in range(grid.n_time):
+        current = field[n]
+        second = current[2:] - 2.0 * current[1:-1] + current[:-2]
+        if upper:
+            sigma2 = np.where(second >= 0.0, sigma_max_sq, sigma_min_sq)
+        else:
+            sigma2 = np.where(second >= 0.0, sigma_min_sq, sigma_max_sq)
+        field[n + 1, 0] = current[0]
+        field[n + 1, -1] = current[-1]
+        field[n + 1, 1:-1] = current[1:-1] + coef * sigma2 * second
+    return field
+
+
+def bilinear_at_horizon(grid, field, s):
+    """Oracle: the original bilinear interpolation of the field at (s, horizon)."""
+    x = min(max((s - grid.s_min) / grid.ds, 0.0), float(grid.n_space))
+    tau = min(max(grid.horizon / grid.dt, 0.0), float(grid.n_time))
+    i0 = min(int(x), grid.n_space - 1)
+    n0 = min(int(tau), grid.n_time - 1)
+    fx, ft = x - i0, tau - n0
+    f = field
+    return float(
+        (1 - ft) * ((1 - fx) * f[n0, i0] + fx * f[n0, i0 + 1])
+        + ft * ((1 - fx) * f[n0 + 1, i0] + fx * f[n0 + 1, i0 + 1])
+    )
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
 def test_grid_validation():
@@ -51,42 +95,107 @@ def test_variance_band_validation(butterfly):
 
 
 def test_field_shape_and_initial_row(butterfly):
-    sol = solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
-    assert sol.field.shape == (WIDE.n_time + 1, WIDE.n_space + 1)
+    rows = list(march(WIDE, butterfly, Side.UPPER, 1.0, 2.0))
+    assert len(rows) == WIDE.n_time + 1
+    assert all(row.shape == (WIDE.n_space + 1,) for row in rows)
     expected = np.array([butterfly(x) for x in WIDE.s_values()])
-    assert np.array_equal(sol.field[0], expected)
+    assert np.array_equal(rows[0], expected)
+
+
+CASES = {
+    "wide upper": (WIDE, "butterfly", Side.UPPER, 1.0, 2.0),
+    "wide lower": (WIDE, "butterfly", Side.LOWER, 1.0, 2.0),
+    "narrow upper": (NARROW, "butterfly", Side.UPPER, 1.0, 2.0),
+    "narrow lower": (NARROW, "butterfly", Side.LOWER, 1.0, 2.0),
+    "zero sigma_min upper": (GridSpec(-2.0, 2.0, 0.1, 0.004), "butterfly", Side.UPPER, 0.0, 2.0),
+    "zero sigma_min lower": (GridSpec(-2.0, 2.0, 0.1, 0.004), "butterfly", Side.LOWER, 0.0, 2.0),
+    "heat equation": (GridSpec(-8.0, 8.0, 0.1, 0.005), Sine(1.0), Side.UPPER, 1.0, 1.0),
+}
+
+
+@pytest.mark.filterwarnings("ignore:sigma_min_sq = 0")
+@pytest.mark.parametrize("case", CASES)
+def test_march_is_bit_identical_to_the_full_field(case, butterfly):
+    grid, payoff, side, lo, hi = CASES[case]
+    payoff = butterfly if payoff == "butterfly" else payoff
+    field = full_field(grid, payoff, side, lo, hi)
+    rows = list(march(grid, payoff, side, lo, hi))  # kept rows must not alias
+    assert np.array_equal(bits(rows), bits(field))
+    assert np.array_equal(bits(solve(grid, payoff, side, lo, hi).values), bits(field[-1]))
+
+
+@pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+def test_value_at_is_the_bilinear_form_at_the_horizon(side, butterfly):
+    # horizon / dt is exactly n_time on WIDE, so the old form's time weight
+    # is 1 and the row before the horizon drops out; the sign of zero agrees
+    # too, which the bit comparison pins
+    field = full_field(WIDE, butterfly, side, 1.0, 2.0)
+    sol = solve(WIDE, butterfly, side, 1.0, 2.0)
+    for s in np.linspace(-6.0, 6.0, 50).tolist():
+        assert bits(value_at(sol, s)) == bits(bilinear_at_horizon(WIDE, field, s))
+
+
+def test_march_checks_its_arguments_when_called(butterfly):
+    # no row is asked for: every refusal comes from the call itself
+    with pytest.raises(StabilityError):
+        march(GridSpec(-2.0, 2.0, 0.1, 0.01), butterfly, Side.UPPER, 1.0, 2.0)
+    with pytest.raises(ValueError):
+        march(WIDE, butterfly, Side.UPPER, 2.0, 1.0)
+    with pytest.raises(ValueError, match="European"):
+        march(WIDE, PathDependent(sum), Side.UPPER, 1.0, 2.0)
+    with pytest.warns(UserWarning):
+        march(WIDE, butterfly, Side.UPPER, 0.0, 2.0)
+
+
+def test_march_stops_at_the_first_non_finite_row():
+    rows = march(NARROW, PiecewiseLinear(((0.0, 1e308),)), Side.UPPER, 1.0, 2.0)
+    assert np.all(next(rows) == 1e308)
+    with pytest.warns(RuntimeWarning), pytest.raises(
+        RuntimeError, match="field became non-finite at time step 1"
+    ):
+        next(rows)
+
+
+def test_solve_holds_one_row(butterfly):
+    field_bytes = 8 * (WIDE.n_time + 1) * (WIDE.n_space + 1)  # about 290 KB
+    solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < field_bytes / 10
 
 
 def test_limit_values_on_wide_domain(butterfly):
     # the N -> infinity limit of the scaled trinomial game prices
     upper = solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
     lower = solve(WIDE, butterfly, Side.LOWER, 1.0, 2.0)
-    assert value_at(upper, 0.0, 1.0) == pytest.approx(0.3817, abs=1e-3)
-    assert value_at(lower, 0.0, 1.0) == pytest.approx(0.2060, abs=1e-3)
+    assert value_at(upper, 0.0) == pytest.approx(0.3817, abs=1e-3)
+    assert value_at(lower, 0.0) == pytest.approx(0.2060, abs=1e-3)
 
 
 def test_narrow_domain_feels_its_boundaries(butterfly):
     # frozen Dirichlet values on [-2, 2] sit visibly below the wide-domain
     # limit: the boundary layer reaches the origin within one time unit
-    grid = GridSpec(-2.0, 2.0, 0.1, 1.0 / 300.0)
-    upper = solve(grid, butterfly, Side.UPPER, 1.0, 2.0)
-    lower = solve(grid, butterfly, Side.LOWER, 1.0, 2.0)
-    assert value_at(upper, 0.0, 1.0) == pytest.approx(0.3746, abs=1e-3)
-    assert value_at(lower, 0.0, 1.0) == pytest.approx(0.1986, abs=1e-3)
+    upper = solve(NARROW, butterfly, Side.UPPER, 1.0, 2.0)
+    lower = solve(NARROW, butterfly, Side.LOWER, 1.0, 2.0)
+    assert value_at(upper, 0.0) == pytest.approx(0.3746, abs=1e-3)
+    assert value_at(lower, 0.0) == pytest.approx(0.1986, abs=1e-3)
 
 
 def test_constant_payoff_is_preserved_exactly():
     grid = GridSpec(-2.0, 2.0, 0.1, 0.004)
     flat = PiecewiseLinear(((0.0, 0.7),))
-    sol = solve(grid, flat, Side.UPPER, 1.0, 2.0)
-    assert np.all(sol.field == 0.7)
+    assert all(np.all(row == 0.7) for row in march(grid, flat, Side.UPPER, 1.0, 2.0))
 
 
 def test_linear_payoff_is_nearly_preserved():
     grid = GridSpec(-2.0, 2.0, 0.1, 0.004)
     ramp = PiecewiseLinear(((0.0, 0.0),), 1.0, 1.0)
-    sol = solve(grid, ramp, Side.UPPER, 1.0, 2.0)
-    drift = np.abs(sol.field[-1] - sol.field[0]).max()
+    rows = list(march(grid, ramp, Side.UPPER, 1.0, 2.0))
+    drift = np.abs(rows[-1] - rows[0]).max()
     assert drift < 1e-12
 
 
@@ -96,43 +205,48 @@ def test_degenerate_band_is_the_heat_equation():
     grid = GridSpec(-8.0, 8.0, 0.1, 0.005)
     sol = solve(grid, Sine(1.0), Side.UPPER, 1.0, 1.0)
     target = math.exp(-0.5)
-    assert value_at(sol, math.pi / 2, 1.0) == pytest.approx(target, rel=1e-2)
-    assert value_at(sol, -math.pi / 2, 1.0) == pytest.approx(-target, rel=1e-2)
+    assert value_at(sol, math.pi / 2) == pytest.approx(target, rel=1e-2)
+    assert value_at(sol, -math.pi / 2) == pytest.approx(-target, rel=1e-2)
 
 
 def test_comparison_principle(butterfly):
     # butterfly(s) <= (s + 0.5)+ pointwise, and the scheme is monotone
     dominating = Call(-0.5)
-    small = solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
-    large = solve(WIDE, dominating, Side.UPPER, 1.0, 2.0)
-    assert np.all(small.field <= large.field + 1e-12)
+    small = march(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
+    large = march(WIDE, dominating, Side.UPPER, 1.0, 2.0)
+    assert all(np.all(a <= b + 1e-12) for a, b in zip(small, large, strict=True))
 
 
 def test_upper_dominates_lower(butterfly):
-    upper = solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
-    lower = solve(WIDE, butterfly, Side.LOWER, 1.0, 2.0)
-    assert np.all(upper.field >= lower.field - 1e-12)
+    upper = march(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
+    lower = march(WIDE, butterfly, Side.LOWER, 1.0, 2.0)
+    assert all(np.all(a >= b - 1e-12) for a, b in zip(upper, lower, strict=True))
 
 
 def test_value_at_interpolation(butterfly):
     sol = solve(WIDE, butterfly, Side.UPPER, 1.0, 2.0)
     # grid point
-    assert value_at(sol, 0.0, 1.0) == pytest.approx(sol.field[-1, 60], abs=1e-12)
-    # spatial midpoint at t = 0 averages the neighbours
-    mid = 0.5 * (sol.field[0, 10] + sol.field[0, 11])
-    assert value_at(sol, -6.0 + 1.05, 0.0) == pytest.approx(mid, abs=1e-9)
+    assert value_at(sol, 0.0) == pytest.approx(sol.values[60], abs=1e-12)
+    # spatial midpoint averages the neighbours
+    mid = 0.5 * (sol.values[10] + sol.values[11])
+    assert value_at(sol, -6.0 + 1.05) == pytest.approx(mid, abs=1e-9)
     with pytest.raises(ValueError):
-        value_at(sol, 7.0, 0.5)
-    with pytest.raises(ValueError):
-        value_at(sol, 0.0, 1.5)
+        value_at(sol, 7.0)
 
 
 def test_zero_lower_variance_warns_and_is_monotone_in_time(butterfly):
     grid = GridSpec(-2.0, 2.0, 0.1, 0.004)
     with pytest.warns(UserWarning):
-        sol = solve(grid, butterfly, Side.UPPER, 0.0, 2.0)
+        rows = list(march(grid, butterfly, Side.UPPER, 0.0, 2.0))
     # with sigma_min^2 = 0 the upper update is coef * max(d2, 0) >= 0
-    assert np.all(np.diff(sol.field, axis=0) >= -1e-15)
+    assert np.all(np.diff(rows, axis=0) >= -1e-15)
+
+
+@pytest.mark.parametrize("route", [march, solve])
+def test_zero_lower_variance_warning_names_the_caller(butterfly, route):
+    with pytest.warns(UserWarning, match="sigma_min_sq = 0") as record:
+        route(NARROW, butterfly, Side.UPPER, 0.0, 2.0)
+    assert record[0].filename == __file__
 
 
 def _converge_rows(capsys, payoff: str, n_list: str, *grid: str) -> list[list[float]]:

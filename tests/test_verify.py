@@ -18,10 +18,12 @@ from gamehedge import (
     Strategy,
     audit_measure,
     check_superreplication,
+    extract_measure,
     fuzz_cross_routes,
     price_european,
     price_path_dependent,
     price_pruned,
+    verify,
 )
 from gamehedge.model import payoff_value_on_path
 from conftest import random_game, random_piecewise
@@ -155,6 +157,17 @@ def test_audit_pruned_measure(trinomial, butterfly):
     audit = audit_measure(game, butterfly, result)
     assert audit.passed
     assert audit.expectation == pytest.approx(result.price, abs=1e-10)
+
+
+def test_audit_budget(monkeypatch, trinomial, butterfly):
+    game = GameSpec.scaled(trinomial, 4)
+    result = price_european(game, butterfly, Side.UPPER)
+    supported = len(extract_measure(result, game))
+    monkeypatch.setattr(verify, "_AUDIT_BUDGET", supported)
+    assert audit_measure(game, butterfly, result).passed
+    monkeypatch.setattr(verify, "_AUDIT_BUDGET", supported - 1)
+    with pytest.raises(BudgetError, match=f"budget of {supported - 1}"):
+        audit_measure(game, butterfly, result)
 
 
 def test_audit_detects_price_corruption(trinomial, butterfly):
