@@ -69,10 +69,42 @@ def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, nam
     )
 
 
-def _integer_moves(moves: MoveSpace, rounds: int) -> tuple[int, np.ndarray]:
-    """Common denominator of the moves and the moves times it, ascending.
+# Each forward lattice stops with BudgetError once it keeps more nodes than
+# this: the trinomial prices up to N of about 6,700 (N=5,000 keeps 37.5M
+# nodes, 2.4 GB of result arrays).
+_LATTICE_BUDGET = 1 << 26
 
-    Raises ValueError when a sum of ``rounds`` of them could leave int64.
+# A round's distinct sums come from a bitmap over their range when that
+# range is at most this many times the number of candidate sums.
+_DENSE = 4
+
+
+def _union(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the int64 ``candidates`` in ascending order,
+    and the position of each candidate among them (in its shape)."""
+    low, high = int(candidates.min()), int(candidates.max())
+    if high - low >= _DENSE * candidates.size:
+        level, rank = np.unique(candidates, return_inverse=True)
+        return level, rank.reshape(candidates.shape)
+    offsets = candidates - low
+    hit = np.zeros(high - low + 1, dtype=bool)
+    hit[offsets] = True
+    return np.flatnonzero(hit) + low, (np.cumsum(hit) - 1)[offsets]
+
+
+def _forward_lattice(moves: MoveSpace, rounds: int, grow=None):
+    """The integer lattice of ``rounds`` rounds of ``moves``.
+
+    Returns (denom, deltas, levels, links): the common denominator of the
+    moves, the moves times it (ascending int64), and per round the groups
+    of reachable sums, each sorted, with the position of each candidate
+    sum of round n+1 in its group (``links[n][g]``).  ``grow(n, groups,
+    deltas)`` gives the candidates of round n+1, one array per group; by
+    default there is one group, and its candidates, of shape (moves,
+    nodes), are every node of round n plus every move.
+
+    Raises ValueError when a sum could leave int64, and BudgetError as soon
+    as the groups kept hold more than _LATTICE_BUDGET nodes.
     """
     denom = math.lcm(*(a.denominator for a in moves.members))
     deltas = [a.numerator * (denom // a.denominator) for a in moves.members]
@@ -81,7 +113,20 @@ def _integer_moves(moves: MoveSpace, rounds: int) -> tuple[int, np.ndarray]:
             f"{rounds} rounds of these moves overflow the lattice's int64 sums "
             f"(common denominator {denom})"
         )
-    return denom, np.array(deltas, dtype=np.int64)
+    deltas = np.array(deltas, dtype=np.int64)
+    if grow is None:
+        def grow(n, groups, deltas):
+            return [groups[0] + deltas[:, None]]
+    levels, links, kept = [[np.zeros(1, dtype=np.int64)]], [], 1
+    for n in range(rounds):
+        level, link = zip(*map(_union, grow(n, levels[n], deltas)))
+        kept += sum(map(len, level))
+        if kept > _LATTICE_BUDGET:
+            raise BudgetError(f"{kept} lattice nodes after {n + 1} rounds exceed "
+                              f"the budget of {_LATTICE_BUDGET}")
+        levels.append(level)
+        links.append(link)
+    return denom, deltas, levels, links
 
 
 def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) -> np.ndarray:
@@ -98,20 +143,16 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
         raise ValueError("use price_path_dependent for path-dependent payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     pairs = PairTable.of(moves)
-    denom, deltas = _integer_moves(moves, rounds)
-    # sorted reachable integer sums per round
-    levels = [np.zeros(1, dtype=np.int64)]
-    for _ in range(rounds):
-        levels.append(np.unique(levels[-1][:, None] + deltas))
+    denom, _, levels, links = _forward_lattice(moves, rounds)
 
-    terminal = values = _terminal_values(payoff, scale, levels[rounds].tolist(), denom)
+    terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
     steps = []
     for n in range(rounds - 1, -1, -1):
-        links = np.searchsorted(levels[n + 1], levels[n] + deltas[:, None])
-        values, rows, positions = replicating_step(values[links], pairs, side)
-        steps.append((values, rows, positions, links))
+        (link,) = links[n]
+        values, rows, positions = replicating_step(values[link], pairs, side)
+        steps.append((values, rows, positions, link))
     return _result(side, pairs, terminal, steps,
-                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice")
+                   lambda n: [(n, Fraction(s, denom)) for s in levels[n][0].tolist()], "lattice")
 
 
 def price_path_dependent(
@@ -162,7 +203,6 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     q = schedule.period
     pairs = PairTable.of(moves)
-    denom, deltas = _integer_moves(moves, rounds)
     every_pair = range(len(pairs.nodes))
 
     def groups(n: int) -> list[int | None]:
@@ -176,14 +216,15 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
         inherit = len(groups(n + 1)) > 1
         return [(p, p if inherit else 0) for p in (every_pair if group is None else [group])]
 
-    # forward pass: sorted reachable sums per group, per round
-    levels = [[np.zeros(1, dtype=np.int64)]]
-    for n in range(rounds):
+    def grow(n: int, level: list, deltas: np.ndarray) -> list[np.ndarray]:
+        """The candidate sums of each group of round n+1."""
         grown: list[list] = [[] for _ in groups(n + 1)]
-        for group, sums in zip(groups(n), levels[n]):
+        for group, sums in zip(groups(n), level):
             for p, child in offers(n, group):
                 grown[child] += (sums + deltas[pairs.neg[p]], sums + deltas[pairs.pos[p]])
-        levels.append([np.unique(np.concatenate(parts)) for parts in grown])
+        return [np.concatenate(parts) for parts in grown]
+
+    denom, deltas, levels, _ = _forward_lattice(moves, rounds, grow)
 
     terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
     steps = []

@@ -52,8 +52,13 @@ def _as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
-        # floats are accepted for convenience; snap to the nearest small rational
-        return Fraction(value).limit_denominator(10**6)
+        # floats are accepted for convenience where they are small rationals:
+        # the nearest one of denominator <= 10**6 must round back to the float
+        snapped = Fraction(value).limit_denominator(10**6)
+        if float(snapped) != value:
+            raise ValueError(f"float move {value!r} is no rational of denominator <= 10**6; "
+                             "pass it as a Fraction or a string such as '1/3'")
+        return snapped
     raise ValueError(f"cannot interpret {value!r} as a rational move")
 
 
@@ -185,7 +190,11 @@ class Put:
 
 @dataclass(frozen=True)
 class Butterfly:
-    """(s-k1)+ - 2(s-k2)+ + (s-k3)+ with k2 the midpoint of k1, k3."""
+    """(s-k1)+ - 2(s-k2)+ + (s-k3)+ for any k1 < k2 < k3.
+
+    It is 0 up to k1, rises to k2 - k1 at k2, and from k3 on equals
+    2*k2 - k1 - k3, which is 0 only where k2 is the midpoint of k1 and k3.
+    """
 
     k1: float
     k2: float

@@ -438,6 +438,18 @@ def test_audit_budget_exit(capsys, monkeypatch):
     assert out == "" and err == "error: supported paths exceed the budget of 1\n"
 
 
+@pytest.mark.parametrize("extra, budget, err", [
+    ((), 9, "error: 10 lattice nodes after 2 rounds exceed the budget of 9\n"),
+    (("--prune", "2"), 10, "error: 19 lattice nodes after 3 rounds exceed the budget of 10\n"),
+])
+def test_lattice_budget_exit(capsys, monkeypatch, extra, budget, err):
+    monkeypatch.setattr(induction, "_LATTICE_BUDGET", budget)
+    code, out, got = run_cli(
+        capsys, "price", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY, *extra,
+    )
+    assert (code, out, got) == (3, "", err)
+
+
 def test_lp_budget_exit(capsys):
     code, _, err = run_cli(
         capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,

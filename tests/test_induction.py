@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from gamehedge import (
@@ -23,6 +24,7 @@ from gamehedge import (
     price_path_dependent,
     price_pruned,
 )
+from gamehedge import induction
 from gamehedge.lp import solve_side
 from conftest import random_game, random_piecewise
 from test_singlestep import step_strategy
@@ -295,3 +297,112 @@ def test_lattice_sums_past_int64_are_refused():
     # 3 * 2^61 still fits
     result = price_european(GameSpec(moves, 3, 1.0), Call(0.0), Side.UPPER)
     assert result.names(3)[0] == (3, F(-3))
+
+
+# --- forward lattice builder -------------------------------------------------
+
+LATTICE_SPACES = {
+    "tri": [-1, 1, 2],
+    "five": [-1, F(1, 3), F(1, 2), F(2, 3), 2],
+    "zero": [-1, 0, 1, 2],
+    "sparse": [-1, F(1, 997), F(2, 991)],
+}
+# _DENSE values that send every round through one branch of the union
+BRANCHES = {"auto": induction._DENSE, "bitmap": 10**12, "unique": 0}
+
+
+def _oracle_union(candidates):
+    """The construction the bitmap union replaced: np.unique, then searchsorted."""
+    level = np.unique(candidates)
+    return level, np.searchsorted(level, candidates)
+
+
+def _oracle_lattice(deltas, rounds):
+    levels = [np.zeros(1, dtype=np.int64)]
+    for _ in range(rounds):
+        levels.append(np.unique(levels[-1][:, None] + deltas))
+    return levels, [np.searchsorted(levels[n + 1], levels[n] + deltas[:, None])
+                    for n in range(rounds)]
+
+
+def _branch_rounds(space: str, branch: str) -> tuple[int, ...]:
+    # a bitmap over the sparse space's range grows by ~10^6 cells a round
+    return (1, 5) if (space, branch) == ("sparse", "bitmap") else (1, 5, 50)
+
+
+def _assert_same_result(got, want):
+    assert got.price.hex() == want.price.hex()
+    assert got.key_kind == want.key_kind and got.prune_period == want.prune_period
+    float_arrays = zip(got.node_values + got.strategy.positions,
+                       want.node_values + want.strategy.positions)
+    for a, b in float_arrays:
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    for a, b in zip(got.measure + got.strategy.links, want.measure + want.strategy.links):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    rounds = len(want.node_values) - 1
+    for n in {0, 1, rounds // 2, rounds}:  # Fraction names are slow to build
+        assert got.names(n) == want.names(n)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("space", LATTICE_SPACES)
+def test_forward_lattice_matches_unique_and_searchsorted(monkeypatch, space, branch):
+    monkeypatch.setattr(induction, "_DENSE", BRANCHES[branch])
+    moves = MoveSpace.from_moves(LATTICE_SPACES[space])
+    rounds = max(_branch_rounds(space, branch))
+    denom, deltas, levels, links = induction._forward_lattice(moves, rounds)
+    assert denom == math.lcm(*(a.denominator for a in moves.members))
+    assert deltas.tolist() == [a * denom for a in moves.members]
+    want_levels, want_links = _oracle_lattice(deltas, rounds)
+    assert len(levels) == rounds + 1 and len(links) == rounds
+    for (level,), want in zip(levels, want_levels):
+        assert level.dtype == want.dtype and np.array_equal(level, want)
+    for (link,), want in zip(links, want_links):
+        assert link.dtype == want.dtype and np.array_equal(link, want)
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("space", LATTICE_SPACES)
+def test_prices_match_the_unique_construction(monkeypatch, space, branch, butterfly):
+    moves = MoveSpace.from_moves(LATTICE_SPACES[space])
+    for rounds in _branch_rounds(space, branch):
+        game = GameSpec.scaled(moves, rounds)
+        periods = sorted({1, 3, rounds})
+        monkeypatch.setattr(induction, "_union", _oracle_union)
+        want = [price_european(game, butterfly, side) for side in Side]
+        want += [price_pruned(game, butterfly, PruneSchedule(q)) for q in periods]
+        monkeypatch.undo()
+        monkeypatch.setattr(induction, "_DENSE", BRANCHES[branch])
+        got = [price_european(game, butterfly, side) for side in Side]
+        got += [price_pruned(game, butterfly, PruneSchedule(q)) for q in periods]
+        for a, b in zip(got, want):
+            _assert_same_result(a, b)
+
+
+def test_union_branch_follows_density(monkeypatch, butterfly):
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(1) or unique(*args, **kwargs))
+    for space in ("tri", "five", "zero"):
+        price_european(GameSpec.scaled(MoveSpace.from_moves(LATTICE_SPACES[space]), 50),
+                       butterfly, Side.UPPER)
+    assert calls == []
+    price_european(GameSpec.scaled(MoveSpace.from_moves(LATTICE_SPACES["sparse"]), 5),
+                   butterfly, Side.UPPER)
+    assert len(calls) == 5
+
+
+def test_lattice_budget(monkeypatch, trinomial, butterfly):
+    game = GameSpec.scaled(trinomial, 3)
+    for price in (lambda: price_european(game, butterfly, Side.UPPER),
+                  lambda: price_pruned(game, butterfly, PruneSchedule(2))):
+        kept = sum(map(len, price().node_values))
+        monkeypatch.setattr(induction, "_LATTICE_BUDGET", kept)
+        price()
+        monkeypatch.setattr(induction, "_LATTICE_BUDGET", kept - 1)
+        # the forward pass stops before any payoff is evaluated
+        monkeypatch.setattr(induction, "_terminal_values", None)
+        with pytest.raises(BudgetError,
+                           match=f"^{kept} lattice nodes after 3 rounds exceed the budget of {kept - 1}$"):
+            price()
+        monkeypatch.undo()

@@ -232,6 +232,13 @@ def test_payoff_json_bare_array():
     assert f(5.0) == 1.0  # flat extension by default
 
 
+def test_butterfly_strikes_need_not_be_symmetric():
+    # k2 off the midpoint: the payoff levels off at 2*k2 - k1 - k3 past k3
+    bf = Butterfly(0, 0.1, 5)
+    assert [bf(s) for s in (-1.0, 0.0, 0.1)] == [0.0, 0.0, 0.1]
+    assert bf(5.0) == pytest.approx(-4.8) and bf(10.0) == pytest.approx(-4.8)
+
+
 def test_payoff_json_rejects_unknown():
     with pytest.raises(ValueError):
         payoff_from_json({"kind": "exotic"})
@@ -244,6 +251,13 @@ def test_payoff_json_rejects_unknown():
 def test_float_moves_snap_to_rationals():
     m = MoveSpace.from_moves([-1.0, 0.5, 2.0])
     assert m.members == (F(-1), F(1, 2), F(2))
+    assert MoveSpace.from_moves([-1, 0.1, 1 / 3]).members == (F(-1), F(1, 10), F(1, 3))
+
+
+def test_float_moves_that_do_not_round_trip_are_refused():
+    # limit_denominator(10**6) would make this 10/81
+    with pytest.raises(ValueError, match="0.1234567891 is no rational"):
+        MoveSpace.from_moves([-1, 0.1234567891, 2])
 
 
 @given(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30),
