@@ -89,82 +89,6 @@ def _grid_from_args(args) -> pde.GridSpec:
     )
 
 
-def _emit(args, text: str) -> None:
-    if args.output and args.output != "-":
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
-
-
-def _emit_csv(args, header: list[str], rows: list[list]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    _emit(args, buffer.getvalue())
-
-
-def _timing(args, started: float) -> None:
-    if getattr(args, "timing", False):
-        print(f"elapsed: {time.perf_counter() - started:.6f}s", file=sys.stderr)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def cmd_price(args) -> int:
-    game = _game_from_args(args)
-    payoff = parse_payoff(args.payoff)
-    side = Side(args.side)
-    started = time.perf_counter()
-    if args.prune:
-        if side is not Side.UPPER:
-            raise ValueError("pruned pricing is defined for the upper side only")
-        result = induction.price_pruned(game, payoff, induction.PruneSchedule(args.prune))
-    else:
-        result = induction.price_european(game, payoff, side)
-    _timing(args, started)
-
-    if args.export_result:
-        with open(args.export_result, "w", encoding="utf-8") as handle:
-            result_to_json(result, handle)
-            handle.write("\n")
-
-    out = {
-        "price": result.price,
-        "side": side.value,
-        "moves": [str(a) for a in game.moves.members],
-        "rounds": game.rounds,
-        "scale": game.payoff_scale,
-        "payoff": payoff_to_json(payoff),
-    }
-    if args.prune:
-        out["prune_period"] = args.prune
-
-    if args.verify:
-        if args.prune:
-            raise ValueError("--verify applies to exact (non-pruned) results")
-        report = verify.check_replication(game, payoff, result.price, result.strategy, side)
-        audit = verify.audit_measure(game, payoff, result)
-        out["verification"] = {
-            "min_slack": report.min_slack,
-            "paths_checked": report.paths_checked,
-            "superreplicates": report.passed,
-            "measure_ok": audit.passed,
-        }
-        _emit_json(args, out)
-        return 0 if (report.passed and audit.passed) else 4
-
-    _emit_json(args, out)
-    return 0
-
-
 @contextlib.contextmanager
 def _replacing(path: str):
     """Open ``path`` for writing text.
@@ -200,6 +124,83 @@ def _replacing(path: str):
         raise
 
 
+def _emit(args, text: str) -> None:
+    if args.output and args.output != "-":
+        with _replacing(args.output) as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _emit_json(args, obj) -> None:
+    _emit(args, json.dumps(obj, indent=2) + "\n")
+
+
+def _emit_csv(args, header: list[str], rows: list[list]) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _emit(args, buffer.getvalue())
+
+
+def _timing(args, started: float) -> None:
+    if getattr(args, "timing", False):
+        print(f"elapsed: {time.perf_counter() - started:.6f}s", file=sys.stderr)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
+def cmd_price(args) -> int:
+    game = _game_from_args(args)
+    payoff = parse_payoff(args.payoff)
+    side = Side(args.side)
+    pruned = args.prune is not None
+    if pruned and side is not Side.UPPER:
+        raise ValueError("pruned pricing is defined for the upper side only")
+    if pruned and args.verify:
+        raise ValueError("--verify applies to exact (non-pruned) results")
+    started = time.perf_counter()
+    if pruned:
+        result = induction.price_pruned(game, payoff, induction.PruneSchedule(args.prune))
+    else:
+        result = induction.price_european(game, payoff, side)
+    _timing(args, started)
+
+    if args.export_result:
+        with _replacing(args.export_result) as handle:
+            result_to_json(result, handle)
+            handle.write("\n")
+
+    out = {
+        "price": result.price,
+        "side": side.value,
+        "moves": [str(a) for a in game.moves.members],
+        "rounds": game.rounds,
+        "scale": game.payoff_scale,
+        "payoff": payoff_to_json(payoff),
+    }
+    if pruned:
+        out["prune_period"] = args.prune
+
+    if args.verify:
+        report = verify.check_replication(game, payoff, result.price, result.strategy, side)
+        audit = verify.audit_measure(game, payoff, result)
+        out["verification"] = {
+            "min_slack": report.min_slack,
+            "paths_checked": report.paths_checked,
+            "superreplicates": report.passed,
+            "measure_ok": audit.passed,
+        }
+        _emit_json(args, out)
+        return 0 if (report.passed and audit.passed) else 4
+
+    _emit_json(args, out)
+    return 0
+
+
 def _dump_field(path: str, grid: pde.GridSpec, payoff: Payoff, side: Side,
                 sig_lo: float, sig_hi: float) -> pde.GridSolution:
     """March the PDE, writing each row to ``path`` as t,s,phi CSV as it is
@@ -211,7 +212,7 @@ def _dump_field(path: str, grid: pde.GridSpec, payoff: Payoff, side: Side,
         writer.writerow(["t", "s", "phi"])
         for n, row in enumerate(rows):
             writer.writerows(zip(itertools.repeat(n * grid.dt), s_vals, row.tolist()))
-    return pde.GridSolution(grid, row, side, sig_lo, sig_hi)
+    return pde.GridSolution(grid, row)
 
 
 def cmd_pde(args) -> int:
@@ -371,7 +372,7 @@ def cmd_lp(args) -> int:
     side = Side(args.side)
     problem = lp.build_problem(game, payoff, max_entries=args.max_entries)
     if args.dump_lp:
-        with open(args.dump_lp, "w", encoding="utf-8") as handle:
+        with _replacing(args.dump_lp) as handle:
             handle.write(lp.dump_dense(problem))
     started = time.perf_counter()
     optimum = lp.solve_side(problem, side)
@@ -384,10 +385,7 @@ def cmd_lp(args) -> int:
     }
     status = 0
     if args.check_dual:
-        if side is Side.UPPER:
-            dual = lp.dual_vertex_enumerate(game.moves, game.rounds, problem.rhs)
-        else:
-            dual = -lp.dual_vertex_enumerate(game.moves, game.rounds, -problem.rhs)
+        dual = lp.dual_side(game, problem, side)
         out["dual_enumeration"] = dual
         out["dual_gap"] = abs(dual - optimum)
         if out["dual_gap"] > 1e-9:
@@ -426,12 +424,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    limits = verify.FuzzLimits(
-        max_moves=args.max_moves,
-        max_rounds=args.max_rounds,
-    )
     started = time.perf_counter()
-    summary = verify.fuzz_cross_routes(seed=args.seed, trials=args.trials, limits=limits)
+    summary = verify.fuzz_cross_routes(args.seed, args.trials, args.max_moves, args.max_rounds)
     _timing(args, started)
     _emit_json(
         args,
@@ -480,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("price", help="exact hedging price by backward induction")
     _add_game_options(sub)
-    sub.add_argument("--prune", type=int, default=0, metavar="Q",
+    sub.add_argument("--prune", type=int, metavar="Q",
                      help="re-select the pair only every Q rounds (upper side)")
     sub.add_argument("--verify", action="store_true",
                      help="replay the strategy on every path and audit the measure")

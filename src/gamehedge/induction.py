@@ -74,6 +74,9 @@ def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, nam
 # nodes, 2.4 GB of result arrays).
 _LATTICE_BUDGET = 1 << 26
 
+# Leaves the full move tree of price_path_dependent may have.
+_TREE_BUDGET = 10**7
+
 # A round's distinct sums come from a bitmap over their range when that
 # range is at most this many times the number of candidate sums.
 _DENSE = 4
@@ -155,20 +158,18 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
                    lambda n: [(n, Fraction(s, denom)) for s in levels[n][0].tolist()], "lattice")
 
 
-def price_path_dependent(
-    game: GameSpec, payoff: Payoff, side: Side, budget: int = 10**7
-) -> PriceResult:
+def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     """Hedging price on the full move tree (works for any payoff).
 
     The nodes of round n are the move prefixes of length n in
     lexicographic member order, and are named by them.  Raises BudgetError
-    when the tree would have more than ``budget`` leaves.
+    when the tree would have more than _TREE_BUDGET leaves.
     """
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     k = moves.size
     leaves = k**rounds
-    if leaves > budget:
-        raise BudgetError(f"{leaves} leaves exceed the budget of {budget}")
+    if leaves > _TREE_BUDGET:
+        raise BudgetError(f"{leaves} leaves exceed the budget of {_TREE_BUDGET}")
     members = moves.members
     pairs = PairTable.of(moves)
 
@@ -281,11 +282,3 @@ def measure_walk(
             if weight > 0:
                 stack.append((path + (members[m],), links[n][m, i], prob * weight))
 
-
-def extract_measure(result: PriceResult, game: GameSpec) -> dict[tuple, Fraction]:
-    """Exact probabilities of the supported paths of the extremal measure.
-
-    Zero-probability branches are omitted, so the keys are exactly the
-    support and the probabilities sum to 1 exactly.
-    """
-    return {path: prob for path, prob, node in measure_walk(result, game) if node is None}

@@ -122,6 +122,10 @@ def build_problem(game: GameSpec, payoff: Payoff, max_entries: int = 2 * 10**7) 
     return problem
 
 
+# relative size of the noise that elimination leaves (see _noise_floor)
+_PIVOT_TOL = 1e-11
+
+
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     for r in range(tableau.shape[0]):
@@ -130,34 +134,28 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _noise_floor(values: np.ndarray, pivot_tol: float) -> float:
+def _noise_floor(values: np.ndarray) -> float:
     """Magnitude up to which entries of ``values`` count as zero.
 
-    Elimination leaves noise of about pivot_tol times the largest entry;
+    Elimination leaves noise of about _PIVOT_TOL times the largest entry;
     entering on a noise reduced cost, or pivoting on a noise coefficient,
     wrecks the tableau (an infeasible point, a false unbounded verdict, or
     no termination).
     """
-    return 100.0 * pivot_tol * max(1.0, float(np.abs(values).max()))
+    return 100.0 * _PIVOT_TOL * max(1.0, float(np.abs(values).max()))
 
 
-def _simplex(
-    tableau: np.ndarray,
-    basis: list[int],
-    cost: np.ndarray,
-    pivot_tol: float,
-    max_iter: int,
-) -> None:
+def _simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: int) -> None:
     """Primal simplex on a canonical tableau, Bland's rule (cannot cycle)."""
     n_cost = cost.shape[0]
     for _ in range(max_iter):
         reduced = cost - cost[basis] @ tableau[:, :n_cost]
-        candidates = np.nonzero(reduced < -_noise_floor(reduced, pivot_tol))[0]
+        candidates = np.nonzero(reduced < -_noise_floor(reduced))[0]
         if candidates.size == 0:
             return
         entering = int(candidates[0])  # Bland: smallest improving index
         column = tableau[:, entering]
-        floor = _noise_floor(column, pivot_tol)
+        floor = _noise_floor(column)
         best_row = -1
         best_ratio = np.inf
         for r in range(tableau.shape[0]):
@@ -175,9 +173,7 @@ def _simplex(
     raise RuntimeError("simplex did not terminate within the iteration cap")
 
 
-def solve_min(
-    problem: LpProblem, pivot_tol: float = 1e-11, max_iter: int | None = None
-) -> tuple[float, np.ndarray]:
+def solve_min(problem: LpProblem) -> tuple[float, np.ndarray]:
     """Solve min c.x s.t. A x >= b (x free); returns (optimum, x).
 
     Transcription to standard form: each free variable splits as x = u - v
@@ -192,8 +188,7 @@ def solve_min(
     rhs = np.asarray(problem.rhs, dtype=float)
     obj = np.asarray(problem.objective, dtype=float)
     n_rows, n_free = matrix.shape
-    if max_iter is None:
-        max_iter = 2000 + 50 * (n_rows + 2 * n_free)
+    max_iter = 2000 + 50 * (n_rows + 2 * n_free)
 
     n_std = 2 * n_free + n_rows  # u, v, surplus
     system = np.hstack([matrix, -matrix, -np.eye(n_rows)])
@@ -206,7 +201,7 @@ def solve_min(
     tableau = np.hstack([system, np.eye(n_rows), b.reshape(-1, 1)])
     basis = [n_std + r for r in range(n_rows)]
     phase1_cost = np.concatenate([np.zeros(n_std), np.ones(n_rows)])
-    _simplex(tableau, basis, phase1_cost, pivot_tol, max_iter)
+    _simplex(tableau, basis, phase1_cost, max_iter)
     if float(phase1_cost[basis] @ tableau[:, -1]) > 1e-9:
         raise InfeasibleError("phase 1 ended with positive artificial mass")
 
@@ -215,7 +210,7 @@ def solve_min(
     for r in range(tableau.shape[0]):
         if basis[r] >= n_std:
             col = next(
-                (j for j in range(n_std) if abs(tableau[r, j]) > pivot_tol), None
+                (j for j in range(n_std) if abs(tableau[r, j]) > _PIVOT_TOL), None
             )
             if col is None:
                 continue  # all-zero row: redundant constraint
@@ -225,7 +220,7 @@ def solve_min(
     basis = [basis[r] for r in keep]
 
     tableau = np.hstack([tableau[:, :n_std], tableau[:, -1:]])
-    _simplex(tableau, basis, cost, pivot_tol, max_iter)
+    _simplex(tableau, basis, cost, max_iter)
 
     z = np.zeros(n_std)
     for r, b_var in enumerate(basis):
@@ -249,24 +244,32 @@ def solve_side(problem: LpProblem, side: Side) -> float:
     return -solve_min(replace(problem, rhs=-problem.rhs))[0]
 
 
-def dual_vertex_enumerate(
-    moves: MoveSpace, rounds: int, values, budget: int = 10**6
-) -> float:
+# pair assignments one dual enumeration may scan
+_DUAL_BUDGET = 10**6
+
+
+def dual_side(game: GameSpec, problem: LpProblem, side: Side) -> float:
+    """Dual enumeration of one side's price on the built upper-price LP,
+    negating the right-hand side for the lower side as ``solve_side`` does."""
+    if side is Side.UPPER:
+        return dual_vertex_enumerate(game.moves, game.rounds, problem.rhs)
+    return -dual_vertex_enumerate(game.moves, game.rounds, -problem.rhs)
+
+
+def dual_vertex_enumerate(moves: MoveSpace, rounds: int, values) -> float:
     """Max of E_P[f] over all products of basic two-point node measures.
 
     ``values`` lists f at the k^N terminal paths in lexicographic member
     order.  Every internal node of the full tree independently picks one of
     the l*m basic pairs, so (l*m)^{#internal nodes} assignments are scanned
-    (in vectorized chunks); BudgetError if that count exceeds ``budget``.
+    (in vectorized chunks); BudgetError if that count exceeds _DUAL_BUDGET.
     """
     k = moves.size
     n_pairs = moves.n_negative * moves.n_positive
     n_internal = (k**rounds - 1) // (k - 1)
     total = n_pairs**n_internal
-    if total > budget:
-        raise BudgetError(
-            f"{total} pair assignments exceed the budget of {budget}"
-        )
+    if total > _DUAL_BUDGET:
+        raise BudgetError(f"{total} pair assignments exceed the budget of {_DUAL_BUDGET}")
     leaf = np.asarray(values, dtype=float)
     if leaf.shape != (k**rounds,):
         raise ValueError(f"expected {k**rounds} terminal values, got {leaf.shape}")

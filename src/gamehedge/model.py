@@ -279,21 +279,16 @@ def evaluate_payoff(payoff: Payoff, s: float) -> float:
     return payoff(s)
 
 
-def payoff_value(payoff: Payoff, scale: float, exact_sum) -> float:
-    """Evaluate a European payoff at scale * float(exact_sum).
-
-    Every pricing route funnels through this so that route-agreement
-    comparisons are not polluted by differing rounding of the argument.
-    """
-    return evaluate_payoff(payoff, scale * float(exact_sum))
-
-
 def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
-    """Evaluate any payoff on an exact path (tuple of rationals)."""
+    """Evaluate any payoff on an exact path (tuple of rationals).
+
+    A European payoff is evaluated at scale * float(exact sum), the
+    convention of every pricing route, so that route-agreement comparisons
+    are not polluted by differing rounding of the argument.
+    """
     if isinstance(payoff, PathDependent):
         return payoff.evaluator(tuple(scale * float(x) for x in path))
-    total = sum(path, Fraction(0))
-    return payoff_value(payoff, scale, total)
+    return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
 
 
 # --- hinge form -------------------------------------------------------------

@@ -73,9 +73,6 @@ class GridSolution:
 
     grid: GridSpec
     values: np.ndarray
-    side: Side
-    sigma_min_sq: float
-    sigma_max_sq: float
 
 
 def march(
@@ -104,7 +101,7 @@ def solve(
     """March the explicit scheme to the horizon and keep the last row."""
     for row in _rows(*_start(grid, payoff, side, sigma_min_sq, sigma_max_sq)):
         pass
-    return GridSolution(grid, row, side, sigma_min_sq, sigma_max_sq)
+    return GridSolution(grid, row)
 
 
 def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,

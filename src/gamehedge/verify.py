@@ -67,6 +67,7 @@ class FuzzSummary:
 
 
 _BLOCK = 1 << 16  # leaves replayed per numpy block
+_REPLAY_BUDGET = 10**7  # paths one replay may visit: about 3 s at the limit
 # supported paths one audit may walk: about 40 us each in Fractions, so
 # roughly 10 s at the limit
 _AUDIT_BUDGET = 1 << 18
@@ -92,7 +93,6 @@ def check_superreplication(
     alpha: float,
     strategy: Strategy,
     tolerance: float = 1e-9,
-    budget: int = 10**7,
 ) -> VerificationReport:
     """Replay a strategy on every path and report the worst slack.
 
@@ -107,13 +107,17 @@ def check_superreplication(
     so leaves run in lexicographic path order.  They are replayed in numpy
     blocks with the float operations of a path-by-path walk and an exact
     terminal sum.  On equal slacks the lexicographically last path is
-    reported; a NaN slack counts as the minimum, so it fails.
+    reported; a NaN slack counts as the minimum, so it fails.  Raises
+    ValueError unless the tolerance is finite and >= 0, and BudgetError
+    past _REPLAY_BUDGET paths.
     """
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     k, members = moves.size, moves.members
     leaves = k**rounds
-    if leaves > budget:
-        raise BudgetError(f"{leaves} paths exceed the budget of {budget}")
+    if leaves > _REPLAY_BUDGET:
+        raise BudgetError(f"{leaves} paths exceed the budget of {_REPLAY_BUDGET}")
     _check_links(strategy, game)
     move_floats = np.array([float(a) for a in members])
     denom = math.lcm(*(a.denominator for a in members))
@@ -220,29 +224,15 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
 # fuzz harness
 
 
-@dataclass(frozen=True)
-class FuzzLimits:
-    max_moves: int = 3
-    max_rounds: int = 3
-    max_numerator: int = 6
-    max_denominator: int = 4
-    dual_budget: int = 10**6
-
-
-def _random_move_space(rng: random.Random, limits: FuzzLimits) -> MoveSpace:
-    k = rng.randint(2, limits.max_moves)
+def _random_move_space(rng: random.Random, max_moves: int) -> MoveSpace:
+    k = rng.randint(2, max_moves)
     n_neg = 1 if k == 2 else rng.randint(1, k - 1)
     n_pos = k - n_neg
 
     def draw_distinct(count: int) -> list[Fraction]:
         seen: set[Fraction] = set()
         while len(seen) < count:
-            seen.add(
-                Fraction(
-                    rng.randint(1, limits.max_numerator),
-                    rng.randint(1, limits.max_denominator),
-                )
-            )
+            seen.add(Fraction(rng.randint(1, 6), rng.randint(1, 4)))
         return sorted(seen)
 
     negatives = tuple(-a for a in draw_distinct(n_neg))  # ascending magnitude
@@ -261,14 +251,12 @@ def _random_piecewise(rng: random.Random) -> PiecewiseLinear:
     return PiecewiseLinear(points, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
 
 
-def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
-                      corrupt_price: float) -> list[tuple[str, float, float, float]]:
+def _checks_for_trial(game: GameSpec, payoff: Payoff) -> list[tuple[str, float, float, float]]:
     """Run every cross-route comparison; returns (name, got, want, tol) rows
     for the ones that failed."""
     upper_result = induction.price_european(game, payoff, Side.UPPER)
     lower_result = induction.price_european(game, payoff, Side.LOWER)
-    upper = upper_result.price + corrupt_price
-    lower = lower_result.price
+    upper, lower = upper_result.price, lower_result.price
 
     failures: list[tuple[str, float, float, float]] = []
 
@@ -284,14 +272,8 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
     expect("lp_upper", lp.solve_side(problem, Side.UPPER), upper, 1e-9)
     expect("lp_lower", lp.solve_side(problem, Side.LOWER), lower, 1e-9)
 
-    dual_upper = lp.dual_vertex_enumerate(
-        game.moves, game.rounds, problem.rhs, budget=limits.dual_budget
-    )
-    dual_lower = -lp.dual_vertex_enumerate(
-        game.moves, game.rounds, -problem.rhs, budget=limits.dual_budget
-    )
-    expect("dual_upper", dual_upper, upper, 1e-9)
-    expect("dual_lower", dual_lower, lower, 1e-9)
+    expect("dual_upper", lp.dual_side(game, problem, Side.UPPER), upper, 1e-9)
+    expect("dual_lower", lp.dual_side(game, problem, Side.LOWER), lower, 1e-9)
 
     negated = induction.price_european(game, negate_payoff(payoff), Side.UPPER).price
     expect("reciprocity", lower, -negated, 1e-12)
@@ -325,27 +307,23 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff, limits: FuzzLimits,
 
 
 def fuzz_cross_routes(
-    seed: int = 0,
-    trials: int = 100,
-    limits: FuzzLimits | None = None,
-    corrupt_price: float = 0.0,
+    seed: int = 0, trials: int = 100, max_moves: int = 3, max_rounds: int = 3
 ) -> FuzzSummary:
-    """Cross-check all pricing routes on random small games.
-
-    ``corrupt_price`` deliberately shifts the induction price before the
-    comparisons; passing a nonzero value must make trials fail (used to
-    prove the harness can detect disagreement).
-    """
-    limits = limits or FuzzLimits()
+    """Cross-check all pricing routes on ``trials`` random games of 2 to
+    ``max_moves`` moves and 1 to ``max_rounds`` rounds."""
+    for name, value, least in (("trials", trials, 0), ("max_moves", max_moves, 2),
+                               ("max_rounds", max_rounds, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
     summary = FuzzSummary(seed=seed, trials=trials)
     rng = random.Random(seed)
     for trial in range(trials):
-        moves = _random_move_space(rng, limits)
-        rounds = rng.randint(1, limits.max_rounds)
+        moves = _random_move_space(rng, max_moves)
+        rounds = rng.randint(1, max_rounds)
         scale = 1.0 if rng.random() < 0.5 else 1.0 / math.sqrt(rounds)
         game = GameSpec(moves, rounds, scale)
         payoff = _random_piecewise(rng)
-        for name, got, want, tol in _checks_for_trial(game, payoff, limits, corrupt_price):
+        for name, got, want, tol in _checks_for_trial(game, payoff):
             summary.failures.append(
                 {
                     "trial": trial,

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from gamehedge import Butterfly, GameSpec, MoveSpace, PiecewiseLinear
+from gamehedge import Butterfly, GameSpec, MoveSpace, PiecewiseLinear, PriceResult
+from gamehedge.induction import measure_walk
 
 
 @pytest.fixture
@@ -16,6 +17,12 @@ def trinomial() -> MoveSpace:
 @pytest.fixture
 def butterfly() -> Butterfly:
     return Butterfly(-0.5, 0.5, 1.5)
+
+
+def extract_measure(result: PriceResult, game: GameSpec) -> dict[tuple, Fraction]:
+    """Exact probabilities of the supported paths of the extremal measure;
+    zero-probability branches are omitted, so the keys are the support."""
+    return {path: prob for path, prob, node in measure_walk(result, game) if node is None}
 
 
 def random_move_space(rng: random.Random, max_moves: int = 3,

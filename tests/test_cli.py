@@ -4,13 +4,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import resource
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from gamehedge import bounds, induction, lp, verify
+import gamehedge
+from gamehedge import bounds, cli, induction, lp, verify
 from gamehedge.cli import main, parse_moves, parse_payoff
 from gamehedge import Butterfly, Call, PiecewiseLinear, Put, Sine
 
@@ -111,6 +115,21 @@ def test_price_pruned_rejections(capsys):
     assert code == 2 and "non-pruned" in err
 
 
+def test_price_pruned_verify_is_refused_before_any_export(capsys, tmp_path):
+    target = tmp_path / "result.json"
+    code, out, err = run_cli(capsys, "price", "--moves=-1,1,2", "--rounds", "4",
+                             "--payoff", BUTTERFLY, "--prune", "2", "--verify",
+                             "--export-result", str(target))
+    assert (code, out) == (2, "") and "non-pruned" in err
+    assert not target.exists()
+
+
+def test_price_prune_zero_is_refused(capsys):
+    code, out, err = run_cli(capsys, "price", "--moves=-1,1,2", "--rounds", "4",
+                             "--payoff", BUTTERFLY, "--prune", "0")
+    assert (code, out, err) == (2, "", "error: prune period must be >= 1\n")
+
+
 def test_price_export_result(capsys, tmp_path):
     target = tmp_path / "result.json"
     code, out, _ = run_json(
@@ -123,6 +142,56 @@ def test_price_export_result(capsys, tmp_path):
     assert dumped["side"] == "upper"
     assert set(dumped) >= {"strategy", "measure", "node_values"}
     assert dumped["strategy"] and dumped["measure"] and dumped["node_values"]
+
+
+def test_price_export_failing_part_way_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    def failing(result, handle):
+        handle.write('{"price": ')
+        raise OSError(27, "File too large")
+
+    monkeypatch.setattr(cli, "result_to_json", failing)
+    target = tmp_path / "result.json"
+    target.write_text("old\n")
+    code, out, err = run_cli(capsys, "price", "--moves=-1,1,2", "--rounds", "2",
+                             "--payoff", BUTTERFLY, "--export-result", str(target))
+    assert (code, out, err) == (2, "", "error: [Errno 27] File too large\n")
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--output", "TARGET", "converge", "--moves=-1,1,2", "--payoff", BUTTERFLY,
+     "--n-list", ",".join(map(str, range(1, 61)))],  # 4.9 KB of CSV
+    ["price", "--moves=-1,1,2", "--rounds", "20", "--payoff", BUTTERFLY,
+     "--export-result", "TARGET"],  # a 96 KB export
+])
+def test_file_size_limit_keeps_the_old_file(tmp_path, argv):
+    target = tmp_path / "old.txt"
+    target.write_text("old\n")
+    argv = [str(target) if arg == "TARGET" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(gamehedge.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gamehedge.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (2048, 2048)),
+    )
+    assert proc.returncode == 2 and "File too large" in proc.stderr
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+
+def test_lp_dump_failing_part_way_keeps_the_old_file(capsys, tmp_path, monkeypatch):
+    def failing(problem):
+        raise RuntimeError("dump failed")
+
+    monkeypatch.setattr(lp, "dump_dense", failing)
+    target = tmp_path / "problem.lp"
+    target.write_text("old\n")
+    code, out, _ = run_cli(capsys, "lp", "--moves=-1,1,2", "--rounds", "2",
+                           "--payoff", BUTTERFLY, "--dump-lp", str(target))
+    assert (code, out) == (2, "")
+    assert target.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_price_output_file(capsys, tmp_path):
@@ -514,10 +583,29 @@ def test_verify_underfunded_alpha_fails(capsys):
     assert out["min_slack"] < -1e-9
 
 
+def test_verify_tolerance_must_be_finite(capsys):
+    # --alpha -100 is far underfunded, which an infinite tolerance would pass
+    base = ["verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", "call(0)", "--alpha", "-100"]
+    for tolerance in ("inf", "nan", "-1e-9"):
+        code, out, err = run_cli(capsys, *base, f"--tolerance={tolerance}")
+        assert (code, out) == (2, ""), tolerance
+        assert err.startswith("error: tolerance must be finite and >= 0")
+    assert run_cli(capsys, *base, "--tolerance", "0")[0] == 4
+
+
 def test_fuzz_command(capsys):
     code, out, _ = run_json(capsys, "fuzz", "--trials", "5", "--seed", "1")
     assert code == 0
     assert out == {"seed": 1, "trials": 5, "failures": [], "passed": True}
+
+
+@pytest.mark.parametrize("option, value, err", [
+    ("--trials", "-5", "error: trials must be >= 0, got -5\n"),
+    ("--max-moves", "1", "error: max_moves must be >= 2, got 1\n"),
+    ("--max-rounds", "0", "error: max_rounds must be >= 1, got 0\n"),
+])
+def test_fuzz_bad_counts_exit_two(capsys, option, value, err):
+    assert run_cli(capsys, "fuzz", option, value) == (2, "", err)
 
 
 # --- plumbing --------------------------------------------------------------------

@@ -19,14 +19,13 @@ from gamehedge import (
     Side,
     binomial_prices,
     build_problem,
-    extract_measure,
     price_european,
     price_path_dependent,
     price_pruned,
 )
 from gamehedge import induction
 from gamehedge.lp import solve_side
-from conftest import random_game, random_piecewise
+from conftest import extract_measure, random_game, random_piecewise
 from test_singlestep import step_strategy
 
 
@@ -106,12 +105,15 @@ def test_links_lead_to_the_node_of_each_move(butterfly):
                 assert pruned.names(n + 1)[links[m, i]][2] == (pair if inherits else None)
 
 
-def test_path_dependent_budget():
+def test_path_dependent_budget(monkeypatch):
     moves = MoveSpace.from_moves([-1, 1, 2])
-    game = GameSpec(moves, 20, 1.0)
     payoff = PathDependent(lambda p: 0.0)
-    with pytest.raises(BudgetError):
-        price_path_dependent(game, payoff, Side.UPPER, budget=10**6)
+    with pytest.raises(BudgetError, match="budget of 10000000"):
+        price_path_dependent(GameSpec(moves, 15, 1.0), payoff, Side.UPPER)
+    monkeypatch.setattr(induction, "_TREE_BUDGET", 3**4)
+    assert price_path_dependent(GameSpec(moves, 4, 1.0), payoff, Side.UPPER).price == 0.0
+    with pytest.raises(BudgetError, match="243 leaves exceed the budget of 81"):
+        price_path_dependent(GameSpec(moves, 5, 1.0), payoff, Side.UPPER)
 
 
 def test_european_on_full_tree_collapses(trinomial, butterfly):

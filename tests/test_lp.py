@@ -23,6 +23,7 @@ from gamehedge import (
     price_european,
     solve_min,
 )
+from gamehedge import lp
 from gamehedge.lp import dump_dense, path_payoff_vector, solve_side
 from conftest import random_game, random_piecewise
 
@@ -214,12 +215,18 @@ def test_dual_enumeration_binomial_is_single_assignment():
     assert dual == pytest.approx(binomial_price(game, (0, 0), payoff), abs=1e-12)
 
 
-def test_dual_enumeration_guards():
+def test_dual_enumeration_guards(monkeypatch):
     moves = MoveSpace.from_moves([-1, 1, 2])
-    with pytest.raises(BudgetError):
-        dual_vertex_enumerate(moves, 5, np.zeros(3**5), budget=10**3)
     with pytest.raises(ValueError):
         dual_vertex_enumerate(moves, 2, np.zeros(5))
+    with pytest.raises(BudgetError, match="budget of 1000000"):
+        dual_vertex_enumerate(moves, 4, np.zeros(3**4))
+    # two pairs and 4 internal nodes at N=2: 16 assignments
+    monkeypatch.setattr(lp, "_DUAL_BUDGET", 16)
+    assert dual_vertex_enumerate(moves, 2, np.zeros(9)) == 0.0
+    monkeypatch.setattr(lp, "_DUAL_BUDGET", 15)
+    with pytest.raises(BudgetError, match="16 pair assignments exceed the budget of 15"):
+        dual_vertex_enumerate(moves, 2, np.zeros(9))
 
 
 def test_solution_satisfies_constraints(trinomial, butterfly):

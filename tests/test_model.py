@@ -24,7 +24,7 @@ from gamehedge import (
     payoff_to_json,
     variances,
 )
-from gamehedge.model import payoff_hinges, payoff_value, piecewise_from_hinges
+from gamehedge.model import payoff_hinges, payoff_value_on_path, piecewise_from_hinges
 
 
 @st.composite
@@ -157,7 +157,9 @@ def test_path_dependent_needs_path():
 
 def test_payoff_value_convention():
     # argument is scale * float(exact sum), in that order
-    assert payoff_value(Call(0.0), 0.5, F(3, 2)) == 0.75
+    assert payoff_value_on_path(Call(0.0), 0.5, (F(1, 2), F(1))) == 0.75
+    # the path is summed exactly: 0.1 + 0.2 in floats would give 0.30000000000000004
+    assert payoff_value_on_path(Call(0.0), 1.0, (F(1, 10), F(2, 10))) == 0.3
 
 
 @given(

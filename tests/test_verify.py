@@ -10,7 +10,6 @@ import pytest
 
 from gamehedge import (
     BudgetError,
-    FuzzLimits,
     GameSpec,
     PathDependent,
     PruneSchedule,
@@ -18,7 +17,6 @@ from gamehedge import (
     Strategy,
     audit_measure,
     check_superreplication,
-    extract_measure,
     fuzz_cross_routes,
     price_european,
     price_path_dependent,
@@ -26,7 +24,7 @@ from gamehedge import (
     verify,
 )
 from gamehedge.model import payoff_value_on_path
-from conftest import random_game, random_piecewise
+from conftest import extract_measure, random_game, random_piecewise
 
 
 # --- superreplication replay --------------------------------------------------
@@ -83,11 +81,28 @@ def test_path_strategy_replays(trinomial):
     assert -1e-9 <= report.min_slack <= 1e-9
 
 
-def test_replay_budget(trinomial, butterfly):
+def test_replay_budget(monkeypatch, trinomial, butterfly):
     game = GameSpec(trinomial, 3, 1.0)
     result = price_european(game, butterfly, Side.UPPER)
-    with pytest.raises(BudgetError):
-        check_superreplication(game, butterfly, result.price, result.strategy, budget=10)
+    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 27)
+    assert check_superreplication(game, butterfly, result.price, result.strategy).passed
+    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 10)
+    with pytest.raises(BudgetError, match="27 paths exceed the budget of 10"):
+        check_superreplication(game, butterfly, result.price, result.strategy)
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-9])
+def test_tolerance_must_be_finite_and_nonnegative(trinomial, butterfly, tolerance):
+    # alpha misses the price by 100 on the failing side, which an infinite
+    # tolerance would let pass
+    game = GameSpec(trinomial, 3, 1.0)
+    for side, miss in ((Side.UPPER, -100.0), (Side.LOWER, 100.0)):
+        result = price_european(game, butterfly, side)
+        alpha = result.price + miss
+        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
+            verify.check_replication(game, butterfly, alpha, result.strategy, side, tolerance)
+        assert not verify.check_replication(game, butterfly, alpha, result.strategy, side,
+                                            0.0).passed
 
 
 def test_missing_link_is_reported(trinomial, butterfly):
@@ -188,8 +203,20 @@ def test_fuzz_clean_run():
     assert summary.trials == 40
 
 
-def test_fuzz_detects_corruption():
-    summary = fuzz_cross_routes(seed=0, trials=5, corrupt_price=1e-3)
+def _corrupt_upper_prices(monkeypatch) -> None:
+    """Shift every upper-side induction price the fuzz harness sees by 1e-3."""
+    price_european = verify.induction.price_european
+
+    def shifted(game, payoff, side):
+        result = price_european(game, payoff, side)
+        return replace(result, price=result.price + 1e-3) if side is Side.UPPER else result
+
+    monkeypatch.setattr(verify.induction, "price_european", shifted)
+
+
+def test_fuzz_detects_corruption(monkeypatch):
+    _corrupt_upper_prices(monkeypatch)
+    summary = fuzz_cross_routes(seed=0, trials=5)
     assert not summary.passed
     known = {
         "lp_upper", "dual_upper", "reciprocity", "order",
@@ -207,13 +234,23 @@ def test_fuzz_zero_trials():
     assert summary.passed and summary.trials == 0
 
 
-def test_fuzz_seed_reproducible():
-    a = fuzz_cross_routes(seed=7, trials=3, corrupt_price=1e-3)
-    b = fuzz_cross_routes(seed=7, trials=3, corrupt_price=1e-3)
+def test_fuzz_seed_reproducible(monkeypatch):
+    _corrupt_upper_prices(monkeypatch)
+    a = fuzz_cross_routes(seed=7, trials=3)
+    b = fuzz_cross_routes(seed=7, trials=3)
     assert a.failures == b.failures
 
 
 def test_fuzz_limits_are_respected():
-    limits = FuzzLimits(max_moves=2, max_rounds=1)
-    summary = fuzz_cross_routes(seed=3, trials=10, limits=limits)
+    summary = fuzz_cross_routes(seed=3, trials=10, max_moves=2, max_rounds=1)
     assert summary.passed
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": -5}, "trials must be >= 0, got -5"),
+    ({"max_moves": 1}, "max_moves must be >= 2, got 1"),
+    ({"max_rounds": 0}, "max_rounds must be >= 1, got 0"),
+])
+def test_fuzz_refuses_bad_counts(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        fuzz_cross_routes(seed=0, **kwargs)
