@@ -78,6 +78,17 @@ def _game_from_args(args) -> GameSpec:
     return GameSpec(moves, args.rounds, float(parse_rational(args.scale)))
 
 
+def _n_list(text: str, n_max: int = 0) -> list[int]:
+    """The N values of a comma-separated list, or 1..n_max when it is
+    empty; refuses an empty result and any N < 1."""
+    n_list = [int(p) for p in text.split(",")] if text else list(range(1, n_max + 1))
+    if not n_list:
+        raise ValueError("no N to price")
+    if min(n_list) < 1:
+        raise ValueError(f"every N must be >= 1, got {min(n_list)}")
+    return n_list
+
+
 def _grid_from_args(args) -> pde.GridSpec:
     lo_s, hi_s = (float(parse_rational(p)) for p in args.s_range.split(","))
     return pde.GridSpec(
@@ -253,9 +264,7 @@ def cmd_pde(args) -> int:
 def cmd_converge(args) -> int:
     moves = parse_moves(args.moves)
     payoff = parse_payoff(args.payoff)
-    n_list = [int(p) for p in args.n_list.split(",")]
-    if any(n < 1 for n in n_list):
-        raise ValueError("every N must be >= 1")
+    n_list = _n_list(args.n_list)
 
     pde_upper = pde_lower = None
     if args.pde:
@@ -297,10 +306,7 @@ def cmd_converge(args) -> int:
 def cmd_sweep_quad(args) -> int:
     base = parse_moves(args.base_moves)
     payoff = parse_payoff(args.payoff)
-    if args.n_list:
-        n_list = [int(p) for p in args.n_list.split(",")]
-    else:
-        n_list = list(range(1, args.n_max + 1))
+    n_list = _n_list(args.n_list, args.n_max)
     a4_min = parse_rational(args.a4_min)
     a4_max = parse_rational(args.a4_max)
     step = parse_rational(args.a4_step)

@@ -98,13 +98,13 @@ def _union(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _forward_lattice(moves: MoveSpace, rounds: int, grow=None):
     """The integer lattice of ``rounds`` rounds of ``moves``.
 
-    Returns (denom, deltas, levels, links): the common denominator of the
-    moves, the moves times it (ascending int64), and per round the groups
-    of reachable sums, each sorted, with the position of each candidate
-    sum of round n+1 in its group (``links[n][g]``).  ``grow(n, groups,
-    deltas)`` gives the candidates of round n+1, one array per group; by
-    default there is one group, and its candidates, of shape (moves,
-    nodes), are every node of round n plus every move.
+    Returns (denom, levels, links): the common denominator of the moves,
+    and per round the groups of reachable sums, each sorted, with the
+    position of each candidate sum of round n+1 in its group (``links[n][g]``,
+    in the candidates' shape).  ``grow(n, groups, deltas)`` gives, from the
+    moves times denom (ascending int64), the candidates of round n+1, one
+    array per group; by default one group of every node of round n plus
+    every move, of shape (moves, nodes).
 
     Raises ValueError when a sum could leave int64, and BudgetError as soon
     as the groups kept hold more than _LATTICE_BUDGET nodes.
@@ -129,7 +129,7 @@ def _forward_lattice(moves: MoveSpace, rounds: int, grow=None):
                               f"the budget of {_LATTICE_BUDGET}")
         levels.append(level)
         links.append(link)
-    return denom, deltas, levels, links
+    return denom, levels, links
 
 
 def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) -> np.ndarray:
@@ -146,7 +146,7 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
         raise ValueError("use price_path_dependent for path-dependent payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     pairs = PairTable.of(moves)
-    denom, _, levels, links = _forward_lattice(moves, rounds)
+    denom, levels, links = _forward_lattice(moves, rounds)
 
     terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
     steps = []
@@ -196,8 +196,9 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     chord slopes, unclamped: a pruned value is no superhedging level, and
     only the extremal pair's two moves are linked.
 
-    The nodes of round n are its groups in ``groups(n)`` order, each in
-    ascending sum; they are named (round, exact sum, inherited pair).
+    The nodes of round n are its groups, each in ascending sum: one per
+    pair, in pair order, where ``inherits(n)``, else one.  They are named
+    (round, exact sum, inherited pair or None).
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
@@ -205,51 +206,49 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     q = schedule.period
     pairs = PairTable.of(moves)
     every_pair = range(len(pairs.nodes))
+    ends = np.stack([pairs.neg, pairs.pos])
 
-    def groups(n: int) -> list[int | None]:
-        """Inherited pair number of each group of states at round n: one
-        group None where the pair is re-selected and at the leaves."""
-        return [None] if n % q == 0 or n == rounds else list(every_pair)
+    def inherits(n: int) -> bool:
+        """Whether round n keeps an inherited pair: one group of states per
+        pair, pair p offered to group p.  Elsewhere (re-selection rounds and
+        the leaves) one group is offered every pair."""
+        return n % q != 0 and n != rounds
 
-    def offers(n: int, group: int | None) -> list[tuple[int, int]]:
-        """(pair number, group of its children at round n+1) of each pair
-        on offer to the states of ``group`` at round n."""
-        inherit = len(groups(n + 1)) > 1
-        return [(p, p if inherit else 0) for p in (every_pair if group is None else [group])]
+    def offered(n: int, level) -> list[np.ndarray]:
+        """The sums each pair is offered to at round n, in pair order."""
+        return list(level) if inherits(n) else [level[0]] * len(every_pair)
 
-    def grow(n: int, level: list, deltas: np.ndarray) -> list[np.ndarray]:
-        """The candidate sums of each group of round n+1."""
-        grown: list[list] = [[] for _ in groups(n + 1)]
-        for group, sums in zip(groups(n), level):
-            for p, child in offers(n, group):
-                grown[child] += (sums + deltas[pairs.neg[p]], sums + deltas[pairs.pos[p]])
-        return [np.concatenate(parts) for parts in grown]
+    def grow(n: int, level, deltas: np.ndarray) -> list[np.ndarray]:
+        """Per pair, the (negative, positive move) x node block of its
+        children: its group of round n+1, or all joined into the one group."""
+        blocks = [sums + deltas[ends[:, p], None] for p, sums in zip(every_pair, offered(n, level))]
+        return blocks if inherits(n + 1) else [np.concatenate(blocks, axis=1)]
 
-    denom, deltas, levels, _ = _forward_lattice(moves, rounds, grow)
+    denom, levels, links = _forward_lattice(moves, rounds, grow)
 
     terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
     steps = []
     for n in range(rounds - 1, -1, -1):
-        nxt = levels[n + 1]
-        starts = np.cumsum([0] + [len(sums) for sums in nxt])
+        starts = np.cumsum([0] + [len(sums) for sums in levels[n + 1]])
+        # grow's blocks as nodes of round n+1, stacked to (move, offered pair, node) per group
+        children = np.split(np.concatenate([s + link for s, link in zip(starts, links[n])], axis=1),
+                            np.cumsum([len(sums) for sums in offered(n, levels[n])])[:-1], axis=1)
+        choices = ([([p], pairs.only(p), block[:, None]) for p, block in zip(every_pair, children)]
+                   if inherits(n) else [(every_pair, pairs, np.stack(children, axis=1))])
         parts = []
-        for group, sums in zip(groups(n), levels[n]):
-            offered = offers(n, group)
-            table = pairs if group is None else pairs.only(group)
-            # (negative, positive move) x offered pair x node: the node of round n+1
-            children = np.array([[starts[c] + np.searchsorted(nxt[c], sums + deltas[move[p]])
-                                  for p, c in offered] for move in (pairs.neg, pairs.pos)])
-            best, index, slope = best_pair(*values[children], table, Side.UPPER)
-            cols = np.arange(len(sums))
-            links = np.full((moves.size, len(sums)), -1)
-            links[table.neg[index], cols], links[table.pos[index], cols] = children[:, index, cols]
-            parts.append((best, np.array([p for p, _ in offered])[index], slope, links))
+        for numbers, table, kids in choices:
+            best, index, slope = best_pair(*values[kids], table, Side.UPPER)
+            cols = np.arange(kids.shape[-1])
+            link = np.full((moves.size, len(cols)), -1)
+            link[table.neg[index], cols], link[table.pos[index], cols] = kids[:, index, cols]
+            parts.append((best, np.array(numbers)[index], slope, link))
         steps.append(tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
         values = steps[-1][0]
 
     def names(n: int) -> list[tuple]:
-        return [(n, Fraction(s, denom), None if group is None else pairs.nodes[group].pair)
-                for group, sums in zip(groups(n), levels[n]) for s in sums.tolist()]
+        tags = [pairs.nodes[p].pair for p in every_pair] if inherits(n) else [None]
+        return [(n, Fraction(s, denom), tag)
+                for tag, sums in zip(tags, levels[n]) for s in sums.tolist()]
 
     return _result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
 

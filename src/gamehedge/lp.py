@@ -66,10 +66,13 @@ def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = 2 * 10**7) ->
     """Constraint matrix (rhs left at zero) for a ``rounds``-step game.
 
     Shape is k^N rows by 1 + (k^N - 1)/(k - 1) columns; raises BudgetError
-    when rows*columns exceeds ``max_entries``.
+    when rows*columns exceeds ``max_entries``, and ValueError when that
+    is below 1.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if max_entries < 1:
+        raise ValueError(f"max entries must be >= 1, got {max_entries}")
     k = moves.size
     n_rows = k**rounds
     n_cols = 1 + (n_rows - 1) // (k - 1)

@@ -165,6 +165,8 @@ class GameSpec:
     @classmethod
     def scaled(cls, moves: MoveSpace, rounds: int) -> "GameSpec":
         """Game with the diffusive payoff scale 1/sqrt(rounds)."""
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
         return cls(moves, rounds, 1.0 / math.sqrt(rounds))
 
 

@@ -310,11 +310,21 @@ def fuzz_cross_routes(
     seed: int = 0, trials: int = 100, max_moves: int = 3, max_rounds: int = 3
 ) -> FuzzSummary:
     """Cross-check all pricing routes on ``trials`` random games of 2 to
-    ``max_moves`` moves and 1 to ``max_rounds`` rounds."""
+    ``max_moves`` moves and 1 to ``max_rounds`` rounds.  Raises ValueError,
+    before any trial, for limits whose largest game has more pair
+    assignments than the dual enumeration's budget."""
     for name, value, least in (("trials", trials, 0), ("max_moves", max_moves, 2),
                                ("max_rounds", max_rounds, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
+    # The largest game scans pairs**internal assignments in its dual
+    # enumeration; with pairs >= 2, more internal nodes than the budget
+    # has bits pass it, so the count need not be built past that.
+    pairs, bits = (max_moves // 2) * ((max_moves + 1) // 2), lp._DUAL_BUDGET.bit_length()
+    internal = sum(max_moves**n for n in range(min(max_rounds, bits)))
+    if pairs ** min(internal, bits) > lp._DUAL_BUDGET:
+        raise ValueError(f"max_moves={max_moves} and max_rounds={max_rounds} allow games whose "
+                         f"dual enumeration passes the budget of {lp._DUAL_BUDGET} pair assignments")
     summary = FuzzSummary(seed=seed, trials=trials)
     rng = random.Random(seed)
     for trial in range(trials):

@@ -393,6 +393,17 @@ def test_converge_rejects_bad_n(capsys):
         capsys, "converge", "--moves=-1,1,2", "--payoff", BUTTERFLY, "--n-list", "0,5"
     )
     assert code == 2 and ">= 1" in err
+    assert run_cli(capsys, "converge", "--moves=-1,1,2", "--payoff", BUTTERFLY,
+                   "--n-list=") == (2, "", "error: no N to price\n")
+
+
+@pytest.mark.parametrize("option, value, err", [
+    ("--n-max", "0", "error: no N to price\n"),
+    ("--n-max", "-3", "error: no N to price\n"),
+    ("--n-list", "3,0", "error: every N must be >= 1, got 0\n"),
+])
+def test_sweep_quad_rejects_bad_n(capsys, option, value, err):
+    assert run_cli(capsys, "sweep-quad", option, value) == (2, "", err)
 
 
 def test_sweep_quad(capsys):
@@ -528,6 +539,13 @@ def test_lp_budget_exit(capsys):
     assert "exceeds 100 entries" in err
 
 
+@pytest.mark.parametrize("max_entries", ["0", "-1"])
+def test_lp_max_entries_below_one_is_exit_two(capsys, max_entries):
+    assert run_cli(capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
+                   f"--max-entries={max_entries}") == (
+        2, "", f"error: max entries must be >= 1, got {max_entries}\n")
+
+
 def test_lp_solver_failure_is_exit_two(capsys, monkeypatch):
     def capped(problem, *args, **kwargs):
         raise RuntimeError("simplex did not terminate within the iteration cap")
@@ -606,6 +624,23 @@ def test_fuzz_command(capsys):
 ])
 def test_fuzz_bad_counts_exit_two(capsys, option, value, err):
     assert run_cli(capsys, "fuzz", option, value) == (2, "", err)
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_fuzz_limits_past_the_dual_budget_exit_two(capsys, seed):
+    assert run_cli(capsys, "fuzz", "--seed", seed, "--max-moves", "4", "--max-rounds", "3") == (
+        2, "", "error: max_moves=4 and max_rounds=3 allow games whose dual enumeration "
+               "passes the budget of 1000000 pair assignments\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--payoff", BUTTERFLY], ["verify", "--payoff", BUTTERFLY],
+    ["bounds", "--payoff", BUTTERFLY], ["lp", "--payoff", BUTTERFLY],
+])
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_diffusive_scale_refuses_rounds_below_one(capsys, argv, rounds):
+    assert run_cli(capsys, *argv, "--moves=-1,1,2", "--rounds", rounds,
+                   "--scale", "diffusive") == (2, "", "error: rounds must be >= 1\n")
 
 
 # --- plumbing --------------------------------------------------------------------

@@ -352,9 +352,9 @@ def test_forward_lattice_matches_unique_and_searchsorted(monkeypatch, space, bra
     monkeypatch.setattr(induction, "_DENSE", BRANCHES[branch])
     moves = MoveSpace.from_moves(LATTICE_SPACES[space])
     rounds = max(_branch_rounds(space, branch))
-    denom, deltas, levels, links = induction._forward_lattice(moves, rounds)
+    denom, levels, links = induction._forward_lattice(moves, rounds)
     assert denom == math.lcm(*(a.denominator for a in moves.members))
-    assert deltas.tolist() == [a * denom for a in moves.members]
+    deltas = np.array([int(a * denom) for a in moves.members], dtype=np.int64)
     want_levels, want_links = _oracle_lattice(deltas, rounds)
     assert len(levels) == rounds + 1 and len(links) == rounds
     for (level,), want in zip(levels, want_levels):
@@ -379,6 +379,22 @@ def test_prices_match_the_unique_construction(monkeypatch, space, branch, butter
         got += [price_pruned(game, butterfly, PruneSchedule(q)) for q in periods]
         for a, b in zip(got, want):
             _assert_same_result(a, b)
+
+
+def test_pruned_route_reads_the_builders_links(monkeypatch, butterfly):
+    """The pruned backward pass finds no child by search: it reads the
+    links the forward-lattice builder returned for grow's blocks."""
+    games = [GameSpec.scaled(MoveSpace.from_moves(moves), 7) for moves in LATTICE_SPACES.values()]
+    periods = (1, 2, 3, 7)
+    want = [price_pruned(game, butterfly, PruneSchedule(q)) for game in games for q in periods]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.searchsorted called")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    got = [price_pruned(game, butterfly, PruneSchedule(q)) for game in games for q in periods]
+    for a, b in zip(got, want):
+        _assert_same_result(a, b)
 
 
 def test_union_branch_follows_density(monkeypatch, butterfly):

@@ -215,6 +215,13 @@ def test_dual_enumeration_binomial_is_single_assignment():
     assert dual == pytest.approx(binomial_price(game, (0, 0), payoff), abs=1e-12)
 
 
+def test_max_entries_below_one_is_invalid(trinomial):
+    for max_entries in (0, -1):
+        with pytest.raises(ValueError, match=f"^max entries must be >= 1, got {max_entries}$"):
+            build_matrix(trinomial, 1, max_entries=max_entries)
+    assert build_matrix(trinomial, 1, max_entries=3 * 2).shape == (3, 2)
+
+
 def test_dual_enumeration_guards(monkeypatch):
     moves = MoveSpace.from_moves([-1, 1, 2])
     with pytest.raises(ValueError):

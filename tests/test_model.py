@@ -212,6 +212,10 @@ def test_game_spec_validation():
         GameSpec(tri, 5, payoff_scale=0.0)
     g = GameSpec.scaled(tri, 4)
     assert g.payoff_scale == 0.5
+    # refused before the square root: 0 rounds divided by zero, -2 had no root
+    for rounds in (0, -2):
+        with pytest.raises(ValueError, match="^rounds must be >= 1$"):
+            GameSpec.scaled(tri, rounds)
 
 
 def test_payoff_json_round_trip():

@@ -254,3 +254,24 @@ def test_fuzz_limits_are_respected():
 def test_fuzz_refuses_bad_counts(kwargs, message):
     with pytest.raises(ValueError, match=message):
         fuzz_cross_routes(seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("max_moves, max_rounds", [(4, 3), (6, 2), (3, 4), (10**6, 10**9)])
+def test_fuzz_refuses_limits_past_the_dual_budget(monkeypatch, max_moves, max_rounds):
+    # no game may be drawn: the refusal comes before the first trial
+    monkeypatch.setattr(verify, "_random_move_space", None)
+    with pytest.raises(ValueError, match=f"^max_moves={max_moves} and max_rounds={max_rounds} "
+                                         "allow games whose dual enumeration passes the budget "
+                                         "of 1000000 pair assignments$"):
+        fuzz_cross_routes(seed=0, trials=1, max_moves=max_moves, max_rounds=max_rounds)
+
+
+def test_fuzz_limits_at_the_dual_budget_run(monkeypatch):
+    # the largest (5, 2) game has 2 x 3 pairs and 6 internal nodes: 6**6 assignments
+    assert fuzz_cross_routes(seed=0, trials=3, max_moves=5, max_rounds=2).passed
+    assert fuzz_cross_routes(seed=0, trials=3, max_moves=4, max_rounds=2).passed
+    monkeypatch.setattr(verify.lp, "_DUAL_BUDGET", 6**6)
+    fuzz_cross_routes(seed=0, trials=0, max_moves=5, max_rounds=2)
+    monkeypatch.setattr(verify.lp, "_DUAL_BUDGET", 6**6 - 1)
+    with pytest.raises(ValueError, match="budget of 46655 pair"):
+        fuzz_cross_routes(seed=0, trials=0, max_moves=5, max_rounds=2)
