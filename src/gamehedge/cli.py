@@ -528,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dump-lp", metavar="FILE", help="write the dense LP as text")
     sub.add_argument("--check-dual", action="store_true",
                      help="cross-check against brute-force dual enumeration")
-    sub.add_argument("--max-entries", type=int, default=2 * 10**7)
+    sub.add_argument("--max-entries", type=int, default=lp._MAX_ENTRIES)
     sub.set_defaults(func=cmd_lp)
 
     sub = subs.add_parser("verify", help="superreplication replay and exact measure audit")

@@ -62,7 +62,11 @@ def _move_labels(moves: MoveSpace) -> list[str]:
     return [f"a{t + 1}" for t in range(moves.size)]
 
 
-def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = 2 * 10**7) -> LpProblem:
+# matrix entries (rows x columns) one LP may have
+_MAX_ENTRIES = 2 * 10**7
+
+
+def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = _MAX_ENTRIES) -> LpProblem:
     """Constraint matrix (rhs left at zero) for a ``rounds``-step game.
 
     Shape is k^N rows by 1 + (k^N - 1)/(k - 1) columns; raises BudgetError
@@ -118,7 +122,7 @@ def path_payoff_vector(game: GameSpec, payoff: Payoff) -> np.ndarray:
     )
 
 
-def build_problem(game: GameSpec, payoff: Payoff, max_entries: int = 2 * 10**7) -> LpProblem:
+def build_problem(game: GameSpec, payoff: Payoff, max_entries: int = _MAX_ENTRIES) -> LpProblem:
     """Full upper-price LP for a game and payoff."""
     problem = build_matrix(game.moves, game.rounds, max_entries=max_entries)
     problem.rhs = path_payoff_vector(game, payoff)
@@ -129,11 +133,34 @@ def build_problem(game: GameSpec, payoff: Payoff, max_entries: int = 2 * 10**7) 
 _PIVOT_TOL = 1e-11
 
 
+# cells one group of a pivot's update may span: at N=6 on -1,1,2, updating
+# each pivot's whole block at once (temporaries of ~1.4 MB) was slower than
+# the row loop it replaced
+_PIVOT_CELLS = 1 << 14
+
+
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    """Normalise ``row`` on ``col`` and eliminate ``col`` from the other rows.
+
+    Writes only the rows with a nonzero entry in ``col``, in the columns
+    where the pivot row is nonzero and in the rhs column, with the float
+    operations of a dense row update.  A skipped entry would only have had a
+    signed zero subtracted, which can turn -0.0 into +0.0 but changes no
+    value; the rhs column, where the solution is read, is always written.
+    The rows go in groups of at most _PIVOT_CELLS cells, each gathered and
+    scattered through flat indices, which costs less than a 2-D index.
+    """
     tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+    width = tableau.shape[1]
+    rows = np.flatnonzero(tableau[:, col])
+    rows = rows[rows != row]
+    cols = np.append(np.flatnonzero(tableau[row, :-1]), width - 1)
+    pivot_row, flat = tableau[row, cols], tableau.reshape(-1, copy=False)
+    step = max(1, _PIVOT_CELLS // cols.size)
+    for start in range(0, rows.size, step):
+        group = rows[start : start + step]
+        cells = np.add.outer(group * width, cols).ravel()
+        flat[cells] -= np.outer(tableau[group, col], pivot_row).ravel()
     basis[row] = col
 
 
@@ -158,18 +185,16 @@ def _simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: 
             return
         entering = int(candidates[0])  # Bland: smallest improving index
         column = tableau[:, entering]
-        floor = _noise_floor(column)
+        rows = np.flatnonzero(column > _noise_floor(column))
+        ratios = tableau[rows, -1] / column[rows]
         best_row = -1
         best_ratio = np.inf
-        for r in range(tableau.shape[0]):
-            coef = column[r]
-            if coef > floor:
-                ratio = tableau[r, -1] / coef
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12
-                    and (best_row < 0 or basis[r] < basis[best_row])
-                ):
-                    best_row, best_ratio = r, ratio
+        for r, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - 1e-12 or (
+                abs(ratio - best_ratio) <= 1e-12
+                and (best_row < 0 or basis[r] < basis[best_row])
+            ):
+                best_row, best_ratio = r, ratio
         if best_row < 0:
             raise UnboundedError("objective is unbounded below")
         _pivot(tableau, basis, best_row, entering)

@@ -311,20 +311,30 @@ def fuzz_cross_routes(
 ) -> FuzzSummary:
     """Cross-check all pricing routes on ``trials`` random games of 2 to
     ``max_moves`` moves and 1 to ``max_rounds`` rounds.  Raises ValueError,
-    before any trial, for limits whose largest game has more pair
-    assignments than the dual enumeration's budget."""
+    before any trial, for limits whose largest game passes a budget of a
+    check: the dual enumeration's, the LP's, the replay's or the audit's."""
     for name, value, least in (("trials", trials, 0), ("max_moves", max_moves, 2),
                                ("max_rounds", max_rounds, 1)):
         if value < least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
-    # The largest game scans pairs**internal assignments in its dual
-    # enumeration; with pairs >= 2, more internal nodes than the budget
-    # has bits pass it, so the count need not be built past that.
-    pairs, bits = (max_moves // 2) * ((max_moves + 1) // 2), lp._DUAL_BUDGET.bit_length()
-    internal = sum(max_moves**n for n in range(min(max_rounds, bits)))
-    if pairs ** min(internal, bits) > lp._DUAL_BUDGET:
-        raise ValueError(f"max_moves={max_moves} and max_rounds={max_rounds} allow games whose "
-                         f"dual enumeration passes the budget of {lp._DUAL_BUDGET} pair assignments")
+    # Every count grows with both limits, so the largest game is the one to
+    # check.  With k >= 2 moves (and, for the dual, >= 2 pairs), a game of
+    # as many rounds, or internal nodes, as the largest budget has bits
+    # passes every budget, so no count is built past that.
+    bits = max(lp._DUAL_BUDGET, lp._MAX_ENTRIES, _REPLAY_BUDGET, _AUDIT_BUDGET).bit_length()
+    rounds = min(max_rounds, bits)
+    leaves = max_moves**rounds
+    internal = (leaves - 1) // (max_moves - 1)
+    pairs = (max_moves // 2) * ((max_moves + 1) // 2)
+    for count, budget, what, unit in (
+        (pairs ** min(internal, bits), lp._DUAL_BUDGET, "dual enumeration", "pair assignments"),
+        (leaves * (1 + internal), lp._MAX_ENTRIES, "LP", "entries"),
+        (leaves, _REPLAY_BUDGET, "replay", "paths"),
+        (2**rounds, _AUDIT_BUDGET, "measure audit", "supported paths"),
+    ):
+        if count > budget:
+            raise ValueError(f"max_moves={max_moves} and max_rounds={max_rounds} allow games whose "
+                             f"{what} passes the budget of {budget} {unit}")
     summary = FuzzSummary(seed=seed, trials=trials)
     rng = random.Random(seed)
     for trial in range(trials):

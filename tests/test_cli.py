@@ -633,6 +633,15 @@ def test_fuzz_limits_past_the_dual_budget_exit_two(capsys, seed):
                "passes the budget of 1000000 pair assignments\n")
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_fuzz_limits_past_the_lp_budget_exit_two(capsys, seed):
+    # one pair, so the dual check passes; the first trial's LP would not
+    assert run_cli(capsys, "fuzz", "--seed", seed, "--max-moves", "2", "--max-rounds", "40",
+                   "--trials", "5") == (
+        2, "", "error: max_moves=2 and max_rounds=40 allow games whose LP passes the budget "
+               "of 20000000 entries\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["price", "--payoff", BUTTERFLY], ["verify", "--payoff", BUTTERFLY],
     ["bounds", "--payoff", BUTTERFLY], ["lp", "--payoff", BUTTERFLY],

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,7 +24,7 @@ from gamehedge import (
     price_european,
     solve_min,
 )
-from gamehedge import lp
+from gamehedge import lp, verify
 from gamehedge.lp import dump_dense, path_payoff_vector, solve_side
 from conftest import random_game, random_piecewise
 
@@ -143,7 +144,7 @@ def test_lower_side_is_the_lp_of_the_negated_payoff():
         assert lower == -negated
 
 
-@pytest.mark.parametrize("members, rounds, payoff, side, want", [
+NOISE_GAMES = [
     # tableau column entries of ~1.6e-11, just above pivot_tol: pivoting on
     # them returned a point 2e-3 infeasible
     (
@@ -165,7 +166,10 @@ def test_lower_side_is_the_lp_of_the_negated_payoff():
         ),
         Side.LOWER, 0.4540569289797345,
     ),
-])
+]
+
+
+@pytest.mark.parametrize("members, rounds, payoff, side, want", NOISE_GAMES)
 def test_simplex_ignores_noise_sized_entries(members, rounds, payoff, side, want):
     game = GameSpec(MoveSpace.from_moves(members), rounds, 1.0)
     assert price_european(game, payoff, side).price == want
@@ -253,3 +257,140 @@ def test_dump_dense(trinomial, butterfly):
     assert lines[1] == "VARS alpha M1"
     assert len(lines) == 2 + 1 + 3  # header, vars, obj, three rows
     assert all(line.startswith("GE ") for line in lines[3:])
+
+
+# --- the block pivot against the row loop it replaced ------------------------
+
+
+def _loop_pivot(tableau, basis, row, col):
+    """The dense row loop that lp._pivot replaced, kept as its oracle."""
+    tableau[row] /= tableau[row, col]
+    for r in range(tableau.shape[0]):
+        if r != row and tableau[r, col] != 0.0:
+            tableau[r] -= tableau[r, col] * tableau[row]
+    basis[row] = col
+
+
+def _scan_simplex(tableau, basis, cost, max_iter):
+    """lp._simplex as it was: a ratio test over every row, pivots by _loop_pivot."""
+    n_cost = cost.shape[0]
+    for _ in range(max_iter):
+        reduced = cost - cost[basis] @ tableau[:, :n_cost]
+        candidates = np.nonzero(reduced < -lp._noise_floor(reduced))[0]
+        if candidates.size == 0:
+            return
+        entering = int(candidates[0])
+        column = tableau[:, entering]
+        floor = lp._noise_floor(column)
+        best_row = -1
+        best_ratio = np.inf
+        for r in range(tableau.shape[0]):
+            coef = column[r]
+            if coef > floor:
+                ratio = tableau[r, -1] / coef
+                if ratio < best_ratio - 1e-12 or (
+                    abs(ratio - best_ratio) <= 1e-12
+                    and (best_row < 0 or basis[r] < basis[best_row])
+                ):
+                    best_row, best_ratio = r, ratio
+        if best_row < 0:
+            raise UnboundedError("objective is unbounded below")
+        lp._pivot(tableau, basis, best_row, entering)
+    raise RuntimeError("simplex did not terminate within the iteration cap")
+
+
+def _traced_solve(problem, side, oracle):
+    """(pivots, float.hex of the optimum, float.hex of every entry of x) of
+    one side, by lp's simplex or by the oracle's."""
+    pivots = []
+    pivot = _loop_pivot if oracle else lp._pivot
+
+    def traced(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    rhs = problem.rhs if side is Side.UPPER else -problem.rhs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_pivot", traced)
+        if oracle:
+            patch.setattr(lp, "_simplex", _scan_simplex)
+        optimum, x = solve_min(LpProblem(problem.objective, problem.constraints, rhs,
+                                         problem.variable_names))
+    return pivots, optimum.hex(), [float(v).hex() for v in x]
+
+
+def _fuzz_problems(seed, trials=100):
+    """The LPs of the fuzz harness's games, drawn as fuzz_cross_routes draws them."""
+    rng = random.Random(seed)
+    for _ in range(trials):
+        moves = verify._random_move_space(rng, 3)
+        rounds = rng.randint(1, 3)
+        scale = 1.0 if rng.random() < 0.5 else 1.0 / math.sqrt(rounds)
+        yield build_problem(GameSpec(moves, rounds, scale), verify._random_piecewise(rng))
+
+
+def _assert_same_solves(problems):
+    for problem in problems:
+        for side in Side:
+            got = _traced_solve(problem, side, oracle=False)
+            assert got == _traced_solve(problem, side, oracle=True)
+            assert got[0], "no pivot was made"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_pivot_matches_row_loop_on_fuzz_games(seed):
+    _assert_same_solves(_fuzz_problems(seed))
+
+
+# the benchmark's crosscheck LP payoff (seed 101) on the trinomial, diffusive scale
+MIXED = PiecewiseLinear(((-0.5, 0.4375), (0.25, 1.421875), (1.0, 0.4375)), -0.4375, 0.0)
+
+
+@pytest.mark.parametrize("rounds", [2, 3, 4, 5])
+def test_block_pivot_matches_row_loop_on_mixed_payoff(trinomial, rounds):
+    _assert_same_solves([build_problem(GameSpec.scaled(trinomial, rounds), MIXED)])
+
+
+@pytest.mark.parametrize("members, rounds, payoff, side, want", NOISE_GAMES)
+def test_block_pivot_matches_row_loop_on_noise_games(members, rounds, payoff, side, want):
+    _assert_same_solves([build_problem(GameSpec(MoveSpace.from_moves(members), rounds, 1.0),
+                                       payoff)])
+
+
+@pytest.mark.parametrize("group_cells", [1, 9, 1 << 14])
+def test_block_pivot_on_a_hand_built_tableau(monkeypatch, group_cells):
+    # 1 and 9 cells put one and two rows in a group: the later groups read
+    # their pivot-column entries after the earlier groups were written
+    monkeypatch.setattr(lp, "_PIVOT_CELLS", group_cells)
+    # Signed zeros as -np.eye and -matrix make them, exact zeros in the pivot
+    # row (columns 1, 3 and 5) and in the pivot column (row 3), and a -0.0
+    # rhs in the pivot row.  The block pivot skips the columns where the
+    # pivot row is +-0; the loop subtracts a signed zero there, which can
+    # only turn a -0.0 into +0.0, never change a value.  So every entry is
+    # == to the loop's, and no decision of the simplex can differ: each test
+    # it makes treats +-0 alike (!= 0.0, np.nonzero, > floor, < -floor,
+    # abs(...) > _PIVOT_TOL, the ratio comparisons).  The rhs column, where
+    # x is read, is updated in every row the loop updates, signs included.
+    tableau = np.array([
+        [2.0, -0.0, 1.5, 0.0, -3.0, -0.0, -0.0],
+        [3.0, -0.0, -1.0, -0.0, 0.5, 1.0, -0.0],
+        [-4.0, 1.0, -0.0, 2.0, -0.0, -1.0, 2.0],
+        [0.0, -0.0, 7.0, -1.0, 1.0, -0.0, 3.0],
+        [-0.0, 2.5, 1.0, -0.0, -0.0, 0.0, -0.0],
+    ])
+    for row, col in [(0, 0), (1, 2), (2, 3), (4, 1)]:
+        got, want = tableau.copy(), tableau.copy()
+        got_basis, want_basis = [0, 1, 2, 3, 4], [0, 1, 2, 3, 4]
+        lp._pivot(got, got_basis, row, col)
+        _loop_pivot(want, want_basis, row, col)
+        assert got_basis == want_basis
+        assert (got == want).all()
+        assert (np.signbit(got[:, -1]) == np.signbit(want[:, -1])).all()
+    # pivoting on (0, 0), the loop makes +0.0 of row 1's -0.0 in column 1
+    # (-0.0 - 3 * -0.0) and in the rhs; the block pivot leaves column 1 as it
+    # was and makes the same +0.0 in the rhs
+    got, want = tableau.copy(), tableau.copy()
+    lp._pivot(got, [0] * 5, 0, 0)
+    _loop_pivot(want, [0] * 5, 0, 0)
+    assert np.signbit(got[1, 1]) and not np.signbit(want[1, 1])
+    assert not np.signbit(got[1, -1]) and not np.signbit(want[1, -1])

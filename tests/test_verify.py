@@ -266,6 +266,34 @@ def test_fuzz_refuses_limits_past_the_dual_budget(monkeypatch, max_moves, max_ro
         fuzz_cross_routes(seed=0, trials=1, max_moves=max_moves, max_rounds=max_rounds)
 
 
+@pytest.mark.parametrize("budget, value, max_moves, max_rounds, message", [
+    # one pair, so the dual check passes; 2**40 x 2**40 LP entries do not
+    (None, None, 2, 40, "LP passes the budget of 20000000 entries"),
+    (None, None, 2, 13, "LP passes the budget of 20000000 entries"),
+    ("_REPLAY_BUDGET", 7, 2, 3, "replay passes the budget of 7 paths"),
+    ("_AUDIT_BUDGET", 7, 2, 3, "measure audit passes the budget of 7 supported paths"),
+    ("_REPLAY_BUDGET", 10**9, 2, 10**9, "LP passes the budget of 20000000 entries"),
+])
+def test_fuzz_refuses_limits_past_the_check_budgets(monkeypatch, budget, value, max_moves,
+                                                    max_rounds, message):
+    if budget is not None:
+        monkeypatch.setattr(verify, budget, value)
+    # no game may be drawn: the refusal comes before the first trial
+    monkeypatch.setattr(verify, "_random_move_space", None)
+    with pytest.raises(ValueError, match=f"^max_moves={max_moves} and max_rounds={max_rounds} "
+                                         f"allow games whose {message}$"):
+        fuzz_cross_routes(seed=0, trials=1, max_moves=max_moves, max_rounds=max_rounds)
+
+
+def test_fuzz_limits_at_the_check_budgets_run(monkeypatch):
+    # the largest (2, 12) game has a 4096 x 4097 LP; only the limits are checked
+    fuzz_cross_routes(seed=0, trials=0, max_moves=2, max_rounds=12)
+    # the largest (3, 3) game has 27 paths, of which at most 2**3 are supported
+    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 27)
+    monkeypatch.setattr(verify, "_AUDIT_BUDGET", 8)
+    assert fuzz_cross_routes(seed=0, trials=10, max_moves=3, max_rounds=3).passed
+
+
 def test_fuzz_limits_at_the_dual_budget_run(monkeypatch):
     # the largest (5, 2) game has 2 x 3 pairs and 6 internal nodes: 6**6 assignments
     assert fuzz_cross_routes(seed=0, trials=3, max_moves=5, max_rounds=2).passed
