@@ -528,7 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dump-lp", metavar="FILE", help="write the dense LP as text")
     sub.add_argument("--check-dual", action="store_true",
                      help="cross-check against brute-force dual enumeration")
-    sub.add_argument("--max-entries", type=int, default=lp._MAX_ENTRIES)
+    sub.add_argument("--max-entries", type=int, default=lp._MAX_ENTRIES,
+                     help="budget on the cells of the simplex tableau")
     sub.set_defaults(func=cmd_lp)
 
     sub = subs.add_parser("verify", help="superreplication replay and exact measure audit")

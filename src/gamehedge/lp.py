@@ -10,7 +10,12 @@ node.  The constraint matrix is assembled by a Kronecker recursion:
     A_1 = [1 | a],    A_N = [1 | Ahat_{N-1} (x) 1_k | I_{k^{N-1}} (x) a]
 
 where a is the column of moves, Ahat drops the leading 1-column, and rows
-are ordered lexicographically by path.  Solved by a self-contained dense
+are ordered lexicographically by path.  Solved in its dual standard form,
+
+    maximize f . p  subject to  A^T p = e_0,  p >= 0,
+
+the same price read from the measure side (one weight per path, summing to
+one, with zero mean at every decision node), by a self-contained dense
 two-phase simplex with Bland's rule; no external LP solver is involved.
 
 ``dual_vertex_enumerate`` is the matching brute-force dual bound: the
@@ -62,16 +67,23 @@ def _move_labels(moves: MoveSpace) -> list[str]:
     return [f"a{t + 1}" for t in range(moves.size)]
 
 
-# matrix entries (rows x columns) one LP may have
+# tableau cells one LP's simplex may build (see _tableau_cells)
 _MAX_ENTRIES = 2 * 10**7
+
+
+def _tableau_cells(n_rows: int, n_cols: int) -> int:
+    """Cells of the simplex tableau of an LP of ``n_rows`` x ``n_cols``: one
+    row per column of the matrix, one column per row and per artificial,
+    and the rhs."""
+    return n_cols * (n_rows + n_cols + 1)
 
 
 def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = _MAX_ENTRIES) -> LpProblem:
     """Constraint matrix (rhs left at zero) for a ``rounds``-step game.
 
     Shape is k^N rows by 1 + (k^N - 1)/(k - 1) columns; raises BudgetError
-    when rows*columns exceeds ``max_entries``, and ValueError when that
-    is below 1.
+    when the tableau that solve_min builds for it has more than
+    ``max_entries`` cells, and ValueError when that is below 1.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -80,9 +92,11 @@ def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = _MAX_ENTRIES)
     k = moves.size
     n_rows = k**rounds
     n_cols = 1 + (n_rows - 1) // (k - 1)
-    if n_rows * n_cols > max_entries:
+    cells = _tableau_cells(n_rows, n_cols)
+    if cells > max_entries:
         raise BudgetError(
-            f"LP of {n_rows} rows x {n_cols} columns exceeds {max_entries} entries"
+            f"LP of {n_rows} rows x {n_cols} columns: its tableau of {cells} cells "
+            f"exceeds {max_entries} entries"
         )
     # floats enter here, at the last moment; everything upstream is exact
     a = np.array([float(x) for x in moves.members]).reshape(k, 1)
@@ -170,9 +184,10 @@ def _noise_floor(values: np.ndarray) -> float:
     Elimination leaves noise of about _PIVOT_TOL times the largest entry;
     entering on a noise reduced cost, or pivoting on a noise coefficient,
     wrecks the tableau (an infeasible point, a false unbounded verdict, or
-    no termination).
+    no termination).  An empty ``values`` (a tableau with no rows left) has
+    the floor of a unit entry.
     """
-    return 100.0 * _PIVOT_TOL * max(1.0, float(np.abs(values).max()))
+    return 100.0 * _PIVOT_TOL * float(np.abs(values).max(initial=1.0))
 
 
 def _simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: int) -> None:
@@ -204,41 +219,40 @@ def _simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray, max_iter: 
 def solve_min(problem: LpProblem) -> tuple[float, np.ndarray]:
     """Solve min c.x s.t. A x >= b (x free); returns (optimum, x).
 
-    Transcription to standard form: each free variable splits as x = u - v
-    with u, v >= 0, each row gets a surplus variable, giving the equality
-    system [A | -A | -I] z = b with z >= 0.  Phase 1 minimizes the sum of
-    artificials to find a basic feasible point (rows with negative rhs are
-    flipped first); artificials still basic at zero level are pivoted out
-    or their rows dropped as redundant.  Phase 2 minimizes the objective
-    with Bland's rule throughout.
+    Solved through the dual, max b.p s.t. A^T p = c, p >= 0, which is
+    already in standard form: one weight per row of A (for the pricing LP,
+    a martingale measure on the paths).  Phase 1 minimizes the sum of one
+    artificial per column of A, after flipping the rows of A^T where c < 0;
+    artificials still basic at zero level are pivoted out or their rows
+    dropped as redundant.  Phase 2 minimizes -b.p, with Bland's rule
+    throughout, and b.p is the optimum.  The rows of A x >= b whose weights
+    are basic hold with equality at the optimum, and x solves them.  A dual
+    with no feasible point means an unbounded primal; an unbounded dual, an
+    infeasible one.
     """
     matrix = np.asarray(problem.constraints, dtype=float)
     rhs = np.asarray(problem.rhs, dtype=float)
     obj = np.asarray(problem.objective, dtype=float)
     n_rows, n_free = matrix.shape
-    max_iter = 2000 + 50 * (n_rows + 2 * n_free)
+    max_iter = 2000 + 50 * (n_rows + n_free)
 
-    n_std = 2 * n_free + n_rows  # u, v, surplus
-    system = np.hstack([matrix, -matrix, -np.eye(n_rows)])
-    cost = np.concatenate([obj, -obj, np.zeros(n_rows)])
-
-    flip = rhs < 0
-    system[flip] *= -1.0
-    b = np.where(flip, -rhs, rhs)
-
-    tableau = np.hstack([system, np.eye(n_rows), b.reshape(-1, 1)])
-    basis = [n_std + r for r in range(n_rows)]
-    phase1_cost = np.concatenate([np.zeros(n_std), np.ones(n_rows)])
+    tableau = np.zeros((n_free, n_rows + n_free + 1))
+    tableau[:, :n_rows] = matrix.T
+    tableau[:, -1] = obj
+    tableau[obj < 0] *= -1.0
+    tableau[:, n_rows:-1] = np.eye(n_free)
+    basis = [n_rows + r for r in range(n_free)]
+    phase1_cost = np.concatenate([np.zeros(n_rows), np.ones(n_free)])
     _simplex(tableau, basis, phase1_cost, max_iter)
     if float(phase1_cost[basis] @ tableau[:, -1]) > 1e-9:
-        raise InfeasibleError("phase 1 ended with positive artificial mass")
+        raise UnboundedError("objective is unbounded below")
 
     # drive leftover artificials out of the basis (or drop redundant rows)
     keep = []
     for r in range(tableau.shape[0]):
-        if basis[r] >= n_std:
+        if basis[r] >= n_rows:
             col = next(
-                (j for j in range(n_std) if abs(tableau[r, j]) > _PIVOT_TOL), None
+                (j for j in range(n_rows) if abs(tableau[r, j]) > _PIVOT_TOL), None
             )
             if col is None:
                 continue  # all-zero row: redundant constraint
@@ -247,18 +261,21 @@ def solve_min(problem: LpProblem) -> tuple[float, np.ndarray]:
     tableau = tableau[keep]
     basis = [basis[r] for r in keep]
 
-    tableau = np.hstack([tableau[:, :n_std], tableau[:, -1:]])
-    _simplex(tableau, basis, cost, max_iter)
+    tableau = np.hstack([tableau[:, :n_rows], tableau[:, -1:]])
+    try:
+        _simplex(tableau, basis, -rhs, max_iter)
+    except UnboundedError:
+        raise InfeasibleError("no point satisfies the constraints") from None
 
-    z = np.zeros(n_std)
-    for r, b_var in enumerate(basis):
-        z[b_var] = tableau[r, -1]
-    x = z[:n_free] - z[n_free : 2 * n_free]
-
+    optimum = float(rhs[basis] @ tableau[:, -1])
+    x = np.linalg.lstsq(matrix[basis], rhs[basis], rcond=None)[0]
     slack = matrix @ x - rhs
     if slack.min(initial=0.0) < -1e-9:
         raise RuntimeError(f"solver returned an infeasible point (slack {slack.min()})")
-    return float(obj @ x), x
+    if abs(optimum - float(obj @ x)) > 1e-9:
+        raise RuntimeError(f"solver returned a point of value {float(obj @ x)}, "
+                           f"not the optimum {optimum}")
+    return optimum, x
 
 
 def solve_side(problem: LpProblem, side: Side) -> float:

@@ -328,7 +328,7 @@ def fuzz_cross_routes(
     pairs = (max_moves // 2) * ((max_moves + 1) // 2)
     for count, budget, what, unit in (
         (pairs ** min(internal, bits), lp._DUAL_BUDGET, "dual enumeration", "pair assignments"),
-        (leaves * (1 + internal), lp._MAX_ENTRIES, "LP", "entries"),
+        (lp._tableau_cells(leaves, 1 + internal), lp._MAX_ENTRIES, "LP", "entries"),
         (leaves, _REPLAY_BUDGET, "replay", "paths"),
         (2**rounds, _AUDIT_BUDGET, "measure audit", "supported paths"),
     ):

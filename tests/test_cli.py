@@ -9,6 +9,7 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 import gamehedge
 from gamehedge import bounds, cli, induction, lp, verify
 from gamehedge.cli import main, parse_moves, parse_payoff
-from gamehedge import Butterfly, Call, PiecewiseLinear, Put, Sine
+from gamehedge import Butterfly, Call, GameSpec, PiecewiseLinear, Put, Side, Sine, price_european
 
 BUTTERFLY = "butterfly(-1/2,1/2,3/2)"
 
@@ -497,6 +498,23 @@ def test_lp_with_dual_check(capsys):
     assert out["dual_gap"] <= 1e-9
 
 
+def test_lp_at_six_rounds_matches_the_induction(capsys):
+    # a 729 x 365 LP: its tableau has 365 x 1,095 cells, where the primal's
+    # had 729 x 2,189 and took 5-7 s a side
+    game = GameSpec.scaled(parse_moves("-1,1,2"), 6)
+    want = {side: price_european(game, parse_payoff(BUTTERFLY), side).price for side in Side}
+    assert want[Side.UPPER] == pytest.approx(0.374673056, abs=1e-9)
+    for side in Side:
+        started = time.perf_counter()
+        code, out, _ = run_json(capsys, "lp", "--moves=-1,1,2", "--rounds", "6",
+                                "--scale", "diffusive", "--payoff", BUTTERFLY,
+                                "--side", side.value)
+        elapsed = time.perf_counter() - started
+        assert code == 0 and (out["rows"], out["cols"]) == (729, 365)
+        assert out["optimum"] == pytest.approx(want[side], abs=1e-9)
+        assert elapsed < 2.0, side
+
+
 def test_lp_dump(capsys, tmp_path):
     target = tmp_path / "problem.lp"
     code, _, _ = run_json(
@@ -537,6 +555,17 @@ def test_lp_budget_exit(capsys):
     )
     assert code == 3
     assert "exceeds 100 entries" in err
+
+
+def test_lp_budget_counts_tableau_cells(capsys):
+    # -1,1 at N=12: a 4096 x 4096 matrix (16.8M entries) but a tableau of
+    # 4096 x 8193 cells, past the default budget; N=11 fits (test_lp.py)
+    assert run_cli(capsys, "lp", "--moves=-1,1", "--rounds", "12", "--payoff", "call(0)") == (
+        3, "", "error: LP of 4096 rows x 4096 columns: its tableau of 33558528 cells "
+               "exceeds 20000000 entries\n")
+    assert run_cli(capsys, "fuzz", "--max-moves", "2", "--max-rounds", "12") == (
+        2, "", "error: max_moves=2 and max_rounds=12 allow games whose LP passes the budget "
+               "of 20000000 entries\n")
 
 
 @pytest.mark.parametrize("max_entries", ["0", "-1"])

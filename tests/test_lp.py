@@ -68,6 +68,12 @@ def test_matrix_budget():
     moves = MoveSpace.from_moves([-1, 1, 2])
     with pytest.raises(BudgetError):
         build_matrix(moves, 13)
+    # the budget counts tableau cells: 2048 x (2048 + 2048 + 1) fit in 2e7,
+    # 4096 x (4096 + 4096 + 1) do not, though the 4096 x 4096 matrix would
+    binomial = MoveSpace.from_moves([-1, 1])
+    assert build_matrix(binomial, 11).shape == (2048, 2048)
+    with pytest.raises(BudgetError, match="tableau of 33558528 cells exceeds 20000000"):
+        build_matrix(binomial, 12)
 
 
 def test_solve_one_step_butterfly(trinomial, butterfly):
@@ -223,7 +229,11 @@ def test_max_entries_below_one_is_invalid(trinomial):
     for max_entries in (0, -1):
         with pytest.raises(ValueError, match=f"^max entries must be >= 1, got {max_entries}$"):
             build_matrix(trinomial, 1, max_entries=max_entries)
-    assert build_matrix(trinomial, 1, max_entries=3 * 2).shape == (3, 2)
+    # the 3 x 2 matrix has a tableau of 2 rows and 3 + 2 + 1 columns
+    assert build_matrix(trinomial, 1, max_entries=2 * 6).shape == (3, 2)
+    with pytest.raises(BudgetError, match="^LP of 3 rows x 2 columns: its tableau of 12 "
+                                          "cells exceeds 11 entries$"):
+        build_matrix(trinomial, 1, max_entries=11)
 
 
 def test_dual_enumeration_guards(monkeypatch):
@@ -394,3 +404,104 @@ def test_block_pivot_on_a_hand_built_tableau(monkeypatch, group_cells):
     _loop_pivot(want, [0] * 5, 0, 0)
     assert np.signbit(got[1, 1]) and not np.signbit(want[1, 1])
     assert not np.signbit(got[1, -1]) and not np.signbit(want[1, -1])
+
+
+# --- the dual-form solve against the primal it replaced ----------------------
+
+
+def _primal_solve_min(problem):
+    """lp.solve_min as it was, kept as the oracle of the dual form: the primal
+    itself, each free variable split as x = u - v and a surplus per row,
+    giving [A | -A | -I] z = b with z >= 0 and one artificial per row."""
+    matrix = np.asarray(problem.constraints, dtype=float)
+    rhs = np.asarray(problem.rhs, dtype=float)
+    obj = np.asarray(problem.objective, dtype=float)
+    n_rows, n_free = matrix.shape
+    max_iter = 2000 + 50 * (n_rows + 2 * n_free)
+
+    n_std = 2 * n_free + n_rows  # u, v, surplus
+    system = np.hstack([matrix, -matrix, -np.eye(n_rows)])
+    cost = np.concatenate([obj, -obj, np.zeros(n_rows)])
+
+    flip = rhs < 0
+    system[flip] *= -1.0
+    b = np.where(flip, -rhs, rhs)
+
+    tableau = np.hstack([system, np.eye(n_rows), b.reshape(-1, 1)])
+    basis = [n_std + r for r in range(n_rows)]
+    phase1_cost = np.concatenate([np.zeros(n_std), np.ones(n_rows)])
+    lp._simplex(tableau, basis, phase1_cost, max_iter)
+    if float(phase1_cost[basis] @ tableau[:, -1]) > 1e-9:
+        raise InfeasibleError("phase 1 ended with positive artificial mass")
+
+    keep = []
+    for r in range(tableau.shape[0]):
+        if basis[r] >= n_std:
+            col = next(
+                (j for j in range(n_std) if abs(tableau[r, j]) > lp._PIVOT_TOL), None
+            )
+            if col is None:
+                continue
+            lp._pivot(tableau, basis, r, col)
+        keep.append(r)
+    tableau = tableau[keep]
+    basis = [basis[r] for r in keep]
+
+    tableau = np.hstack([tableau[:, :n_std], tableau[:, -1:]])
+    lp._simplex(tableau, basis, cost, max_iter)
+
+    z = np.zeros(n_std)
+    for r, b_var in enumerate(basis):
+        z[b_var] = tableau[r, -1]
+    x = z[:n_free] - z[n_free : 2 * n_free]
+
+    slack = matrix @ x - rhs
+    if slack.min(initial=0.0) < -1e-9:
+        raise RuntimeError(f"solver returned an infeasible point (slack {slack.min()})")
+    return float(obj @ x), x
+
+
+def _solve_with_measure(problem):
+    """(optimum, x, p) of solve_min, p the dual's optimal weights, one per
+    row, read from the tableau of the last simplex phase."""
+    final = []
+    simplex = lp._simplex
+
+    def spy(tableau, basis, cost, max_iter):
+        simplex(tableau, basis, cost, max_iter)
+        final[:] = [tableau, basis]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "_simplex", spy)
+        optimum, x = solve_min(problem)
+    tableau, basis = final
+    p = np.zeros(problem.shape[0])
+    p[basis] = tableau[:, -1]
+    return optimum, x, p
+
+
+def _assert_dual_matches_primal(problems):
+    for problem in problems:
+        for side in Side:
+            rhs = problem.rhs if side is Side.UPPER else -problem.rhs
+            sided = LpProblem(problem.objective, problem.constraints, rhs,
+                              problem.variable_names)
+            optimum, x, p = _solve_with_measure(sided)
+            assert optimum == pytest.approx(_primal_solve_min(sided)[0], rel=1e-12)
+            assert optimum == pytest.approx(x[0], abs=1e-12)
+            # p is a martingale measure on the paths: A^T p = e_0, p >= 0
+            assert p.min() >= -1e-15
+            assert np.abs(problem.constraints.T @ p - problem.objective).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dual_form_matches_primal_on_random_games(seed):
+    rng = random.Random(seed)
+    _assert_dual_matches_primal(
+        build_problem(random_game(rng, max_rounds=4), random_piecewise(rng)) for _ in range(25)
+    )
+
+
+@pytest.mark.parametrize("rounds", [4, 5])
+def test_dual_form_matches_primal_on_mixed_payoff(trinomial, rounds):
+    _assert_dual_matches_primal([build_problem(GameSpec.scaled(trinomial, rounds), MIXED)])

@@ -286,8 +286,9 @@ def test_fuzz_refuses_limits_past_the_check_budgets(monkeypatch, budget, value, 
 
 
 def test_fuzz_limits_at_the_check_budgets_run(monkeypatch):
-    # the largest (2, 12) game has a 4096 x 4097 LP; only the limits are checked
-    fuzz_cross_routes(seed=0, trials=0, max_moves=2, max_rounds=12)
+    # the largest (2, 11) game has a 2048 x 2048 LP, whose tableau of 2048 x 4097
+    # cells fits the LP budget; only the limits are checked
+    fuzz_cross_routes(seed=0, trials=0, max_moves=2, max_rounds=11)
     # the largest (3, 3) game has 27 paths, of which at most 2**3 are supported
     monkeypatch.setattr(verify, "_REPLAY_BUDGET", 27)
     monkeypatch.setattr(verify, "_AUDIT_BUDGET", 8)
