@@ -19,19 +19,17 @@ import stat
 import sys
 import tempfile
 import time
+from dataclasses import fields
 
 from . import bounds as bounds_mod
 from . import induction, lp, pde, verify
 from .model import (
+    _PAYOFF_KINDS,
     BudgetError,
-    Butterfly,
-    Call,
     GameSpec,
     MoveSpace,
     Payoff,
-    Put,
     Side,
-    Sine,
     parse_rational,
     payoff_from_json,
     payoff_to_json,
@@ -40,6 +38,15 @@ from .model import (
 )
 
 _SHORTHAND = re.compile(r"^(call|put|butterfly|sine|sin)\s*\((.*)\)$", re.IGNORECASE)
+
+
+def _finite(text: str) -> float:
+    """The rational ``text`` as a float; ValueError naming it when it lies
+    beyond the float range."""
+    try:
+        return float(parse_rational(text))
+    except OverflowError:
+        raise ValueError(f"not a finite float: {text!r}") from None
 
 
 def parse_payoff(text: str) -> Payoff:
@@ -55,16 +62,11 @@ def parse_payoff(text: str) -> Payoff:
     if not match:
         raise ValueError(f"cannot parse payoff {text!r}")
     name = match.group(1).lower()
-    args = [float(parse_rational(p)) for p in match.group(2).split(",") if p.strip()]
-    if name == "call" and len(args) == 1:
-        return Call(args[0])
-    if name == "put" and len(args) == 1:
-        return Put(args[0])
-    if name == "butterfly" and len(args) == 3:
-        return Butterfly(*args)
-    if name in ("sine", "sin") and len(args) == 1:
-        return Sine(args[0])
-    raise ValueError(f"wrong number of arguments in payoff {text!r}")
+    cls = _PAYOFF_KINDS["sine" if name == "sin" else name]
+    args = [_finite(p) for p in match.group(2).split(",") if p.strip()]
+    if len(args) != len(fields(cls)):
+        raise ValueError(f"wrong number of arguments in payoff {text!r}")
+    return cls(*args)
 
 
 def parse_moves(text: str) -> MoveSpace:
@@ -75,7 +77,7 @@ def _game_from_args(args) -> GameSpec:
     moves = parse_moves(args.moves)
     if args.scale == "diffusive":
         return GameSpec.scaled(moves, args.rounds)
-    return GameSpec(moves, args.rounds, float(parse_rational(args.scale)))
+    return GameSpec(moves, args.rounds, _finite(args.scale))
 
 
 def _n_list(text: str, n_max: int = 0) -> list[int]:
@@ -90,13 +92,13 @@ def _n_list(text: str, n_max: int = 0) -> list[int]:
 
 
 def _grid_from_args(args) -> pde.GridSpec:
-    lo_s, hi_s = (float(parse_rational(p)) for p in args.s_range.split(","))
+    lo_s, hi_s = (_finite(p) for p in args.s_range.split(","))
     return pde.GridSpec(
         s_min=lo_s,
         s_max=hi_s,
-        ds=float(parse_rational(args.ds)),
-        dt=float(parse_rational(args.dt)),
-        horizon=float(parse_rational(args.horizon)),
+        ds=_finite(args.ds),
+        dt=_finite(args.dt),
+        horizon=_finite(args.horizon),
     )
 
 
@@ -231,7 +233,7 @@ def cmd_pde(args) -> int:
     side = Side(args.side)
     grid = _grid_from_args(args)
     if args.sigma2:
-        sig_lo, sig_hi = (float(parse_rational(p)) for p in args.sigma2.split(","))
+        sig_lo, sig_hi = (_finite(p) for p in args.sigma2.split(","))
     else:
         lo, hi = variances(parse_moves(args.moves))
         sig_lo, sig_hi = float(lo), float(hi)
@@ -376,7 +378,7 @@ def cmd_lp(args) -> int:
     game = _game_from_args(args)
     payoff = parse_payoff(args.payoff)
     side = Side(args.side)
-    problem = lp.build_problem(game, payoff, max_entries=args.max_entries)
+    problem = lp.build_problem(game, payoff)
     if args.dump_lp:
         with _replacing(args.dump_lp) as handle:
             handle.write(lp.dump_dense(problem))
@@ -405,7 +407,7 @@ def cmd_verify(args) -> int:
     payoff = parse_payoff(args.payoff)
     side = Side(args.side)
     result = induction.price_european(game, payoff, side)
-    alpha = result.price if args.alpha is None else float(parse_rational(args.alpha))
+    alpha = result.price if args.alpha is None else _finite(args.alpha)
     report = verify.check_replication(
         game, payoff, alpha, result.strategy, side, tolerance=args.tolerance
     )
@@ -528,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dump-lp", metavar="FILE", help="write the dense LP as text")
     sub.add_argument("--check-dual", action="store_true",
                      help="cross-check against brute-force dual enumeration")
-    sub.add_argument("--max-entries", type=int, default=lp._MAX_ENTRIES,
-                     help="budget on the cells of the simplex tableau")
     sub.set_defaults(func=cmd_lp)
 
     sub = subs.add_parser("verify", help="superreplication replay and exact measure audit")

@@ -34,7 +34,7 @@ from .model import (
     Strategy,
     evaluate_payoff,
     is_path_dependent,
-    payoff_value_on_path,
+    path_payoff_vector,
 )
 from .singlestep import PairTable, best_pair, replicating_step
 
@@ -165,16 +165,14 @@ def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceRes
     lexicographic member order, and are named by them.  Raises BudgetError
     when the tree would have more than _TREE_BUDGET leaves.
     """
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
+    moves, rounds = game.moves, game.rounds
     k = moves.size
     leaves = k**rounds
     if leaves > _TREE_BUDGET:
         raise BudgetError(f"{leaves} leaves exceed the budget of {_TREE_BUDGET}")
-    members = moves.members
     pairs = PairTable.of(moves)
 
-    terminal = values = np.array([payoff_value_on_path(payoff, scale, path)
-                                  for path in itertools.product(members, repeat=rounds)])
+    terminal = values = path_payoff_vector(game, payoff)
     steps = []
     for n in range(rounds - 1, -1, -1):
         # the children of a prefix are a contiguous block of k, in member order
@@ -182,7 +180,7 @@ def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceRes
         values, rows, positions = replicating_step(values[links], pairs, side)
         steps.append((values, rows, positions, links))
     return _result(side, pairs, terminal, steps,
-                   lambda n: list(itertools.product(members, repeat=n)), "path")
+                   lambda n: list(itertools.product(moves.members, repeat=n)), "path")
 
 
 def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> PriceResult:

@@ -5,12 +5,12 @@ The upper price is the optimum of
     minimize alpha  subject to  alpha + sum_n M_n(history) * x_n >= f(path)
 
 with one constraint per terminal path and one free variable per decision
-node.  The constraint matrix is assembled by a Kronecker recursion:
-
-    A_1 = [1 | a],    A_N = [1 | Ahat_{N-1} (x) 1_k | I_{k^{N-1}} (x) a]
-
-where a is the column of moves, Ahat drops the leading 1-column, and rows
-are ordered lexicographically by path.  Solved in its dual standard form,
+node.  Rows are the paths in lexicographic order.  Column 0 (alpha) is all
+ones.  Round n = 0, ..., N-1 has a block of k^n columns, one per move
+prefix of length n; a path's row holds its move at round n in the column of
+its own prefix and 0 times that move (-0.0 under a negative move) in the
+others.  The matrix is written block by block in one pass.  Solved in its
+dual standard form,
 
     maximize f . p  subject to  A^T p = e_0,  p >= 0,
 
@@ -37,7 +37,7 @@ from .model import (
     Payoff,
     RiskNeutralNode,
     Side,
-    payoff_value_on_path,
+    path_payoff_vector,
 )
 
 
@@ -63,10 +63,6 @@ class LpProblem:
         return self.constraints.shape
 
 
-def _move_labels(moves: MoveSpace) -> list[str]:
-    return [f"a{t + 1}" for t in range(moves.size)]
-
-
 # tableau cells one LP's simplex may build (see _tableau_cells)
 _MAX_ENTRIES = 2 * 10**7
 
@@ -78,67 +74,50 @@ def _tableau_cells(n_rows: int, n_cols: int) -> int:
     return n_cols * (n_rows + n_cols + 1)
 
 
-def build_matrix(moves: MoveSpace, rounds: int, max_entries: int = _MAX_ENTRIES) -> LpProblem:
+def build_matrix(moves: MoveSpace, rounds: int) -> LpProblem:
     """Constraint matrix (rhs left at zero) for a ``rounds``-step game.
 
     Shape is k^N rows by 1 + (k^N - 1)/(k - 1) columns; raises BudgetError
-    when the tableau that solve_min builds for it has more than
-    ``max_entries`` cells, and ValueError when that is below 1.
+    when the tableau that solve_min builds for it has more than _MAX_ENTRIES
+    cells.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if max_entries < 1:
-        raise ValueError(f"max entries must be >= 1, got {max_entries}")
     k = moves.size
     n_rows = k**rounds
     n_cols = 1 + (n_rows - 1) // (k - 1)
     cells = _tableau_cells(n_rows, n_cols)
-    if cells > max_entries:
+    if cells > _MAX_ENTRIES:
         raise BudgetError(
             f"LP of {n_rows} rows x {n_cols} columns: its tableau of {cells} cells "
-            f"exceeds {max_entries} entries"
+            f"exceeds {_MAX_ENTRIES} entries"
         )
     # floats enter here, at the last moment; everything upstream is exact
-    a = np.array([float(x) for x in moves.members]).reshape(k, 1)
-    labels = _move_labels(moves)
-
-    matrix = np.hstack([np.ones((k, 1)), a])
-    names = ["alpha", "M1"]
-    for n in range(2, rounds + 1):
-        rows = k**n
-        hollowed = matrix[:, 1:]
-        matrix = np.hstack(
-            [
-                np.ones((rows, 1)),
-                np.kron(hollowed, np.ones((k, 1))),
-                np.kron(np.eye(k ** (n - 1)), a),
-            ]
-        )
-        names = names + [
-            "M%d|%s" % (n, "".join(labels[c] for c in prefix))
-            for prefix in itertools.product(range(k), repeat=n - 1)
-        ]
+    a = np.array([float(x) for x in moves.members])
+    matrix = np.ones((n_rows, n_cols))
+    paths = np.arange(n_rows)
+    for n in range(rounds):
+        # each path's node (its first n moves) and its move at round n
+        node, move = np.divmod(paths // k ** (rounds - 1 - n), k)
+        start = 1 + (k**n - 1) // (k - 1)
+        block = matrix[:, start : start + k**n]
+        block[:] = 0.0 * a[move, None]  # 0 x move off the node: -0.0 under a negative move
+        block[paths, node] = a[move]
+    names = ["alpha", "M1"] + [
+        f"M{n + 1}|" + "".join(f"a{t + 1}" for t in prefix)
+        for n in range(1, rounds) for prefix in itertools.product(range(k), repeat=n)
+    ]
     return LpProblem(
-        objective=np.eye(1, matrix.shape[1], 0).ravel(),
+        objective=np.eye(1, n_cols, 0).ravel(),
         constraints=matrix,
-        rhs=np.zeros(matrix.shape[0]),
+        rhs=np.zeros(n_rows),
         variable_names=names,
     )
 
 
-def path_payoff_vector(game: GameSpec, payoff: Payoff) -> np.ndarray:
-    """Payoff at every terminal path, in the matrix row (lexicographic) order."""
-    return np.array(
-        [
-            payoff_value_on_path(payoff, game.payoff_scale, path)
-            for path in itertools.product(game.moves.members, repeat=game.rounds)
-        ]
-    )
-
-
-def build_problem(game: GameSpec, payoff: Payoff, max_entries: int = _MAX_ENTRIES) -> LpProblem:
+def build_problem(game: GameSpec, payoff: Payoff) -> LpProblem:
     """Full upper-price LP for a game and payoff."""
-    problem = build_matrix(game.moves, game.rounds, max_entries=max_entries)
+    problem = build_matrix(game.moves, game.rounds)
     problem.rhs = path_payoff_vector(game, payoff)
     return problem
 
@@ -258,10 +237,10 @@ def solve_min(problem: LpProblem) -> tuple[float, np.ndarray]:
                 continue  # all-zero row: redundant constraint
             _pivot(tableau, basis, r, col)
         keep.append(r)
-    tableau = tableau[keep]
+    # one copy of the rows kept, without the artificial columns
+    tableau = tableau[np.ix_(keep, [*range(n_rows), -1])]
     basis = [basis[r] for r in keep]
 
-    tableau = np.hstack([tableau[:, :n_rows], tableau[:, -1:]])
     try:
         _simplex(tableau, basis, -rhs, max_iter)
     except UnboundedError:

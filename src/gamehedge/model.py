@@ -10,8 +10,10 @@ themselves).
 from __future__ import annotations
 
 import bisect
+import itertools
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from fractions import Fraction
@@ -85,6 +87,8 @@ class MoveSpace:
             raise ValueError("negatives must be distinct and decreasing from zero")
         if list(self.positives) != sorted(set(self.positives)):
             raise ValueError("positives must be distinct and increasing")
+        if any(abs(a) > sys.float_info.max for a in self.negatives + self.positives):
+            raise ValueError("moves must lie within the float range")
 
     @classmethod
     def from_moves(cls, moves: Iterable) -> "MoveSpace":
@@ -293,6 +297,13 @@ def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
     return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
 
 
+def path_payoff_vector(game: GameSpec, payoff: Payoff) -> np.ndarray:
+    """Payoff at every terminal path, in lexicographic member order (the
+    order of the LP's rows and of the move tree's leaves)."""
+    return np.array([payoff_value_on_path(payoff, game.payoff_scale, path)
+                     for path in itertools.product(game.moves.members, repeat=game.rounds)])
+
+
 # --- hinge form -------------------------------------------------------------
 #
 # Every piecewise-linear payoff can be written as
@@ -464,23 +475,15 @@ _PAYOFF_KINDS = {
 
 
 def payoff_to_json(payoff: Payoff) -> dict:
-    """Serializable dict form; path-dependent payoffs are not serializable."""
-    if isinstance(payoff, Call):
-        return {"kind": "call", "strike": payoff.strike}
-    if isinstance(payoff, Put):
-        return {"kind": "put", "strike": payoff.strike}
-    if isinstance(payoff, Butterfly):
-        return {"kind": "butterfly", "k1": payoff.k1, "k2": payoff.k2, "k3": payoff.k3}
-    if isinstance(payoff, Sine):
-        return {"kind": "sine", "frequency": payoff.frequency}
-    if isinstance(payoff, PiecewiseLinear):
-        return {
-            "kind": "piecewise_linear",
-            "breakpoints": [[x, y] for x, y in payoff.breakpoints],
-            "left_slope": payoff.left_slope,
-            "right_slope": payoff.right_slope,
-        }
-    raise ValueError(f"{type(payoff).__name__} cannot be serialized")
+    """Serializable dict form: the kind, then the fields in declaration
+    order; path-dependent payoffs are not serializable."""
+    kind = next((k for k, cls in _PAYOFF_KINDS.items() if isinstance(payoff, cls)), None)
+    if kind is None:
+        raise ValueError(f"{type(payoff).__name__} cannot be serialized")
+    values = {f.name: getattr(payoff, f.name) for f in fields(payoff)}
+    if "breakpoints" in values:
+        values["breakpoints"] = [list(point) for point in values["breakpoints"]]
+    return {"kind": kind, **values}
 
 
 def _json_number(value, field: str):

@@ -71,6 +71,8 @@ _REPLAY_BUDGET = 10**7  # paths one replay may visit: about 3 s at the limit
 # supported paths one audit may walk: about 40 us each in Fractions, so
 # roughly 10 s at the limit
 _AUDIT_BUDGET = 1 << 18
+# how far the audited measure's expected payoff may lie from the price
+_AUDIT_TOL = 1e-10
 
 
 def _check_links(strategy: Strategy, game: GameSpec) -> None:
@@ -174,14 +176,13 @@ def check_replication(
     return check_superreplication(game, negate_payoff(payoff), -alpha, negated, tolerance)
 
 
-def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
-                  tolerance: float = 1e-10) -> MeasureAudit:
+def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> MeasureAudit:
     """Walk the extremal measure and verify it in exact arithmetic.
 
     Checks per node: probabilities nonnegative, summing to one exactly,
     with exactly zero mean (hence zero conditional expected capital
     increment).  Checks overall: path probabilities sum to one exactly and
-    the measure's expected payoff reproduces the price within tolerance.
+    the measure's expected payoff reproduces the price within _AUDIT_TOL.
     Raises BudgetError once the walk passes _AUDIT_BUDGET supported paths.
     """
     moves, scale = game.moves, game.payoff_scale
@@ -209,7 +210,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult,
     expectation = math.fsum(expectation_terms)
     if total != 1:
         ok = False
-    if not abs(expectation - result.price) <= tolerance:
+    if not abs(expectation - result.price) <= _AUDIT_TOL:
         ok = False
     return MeasureAudit(
         total_probability=total,
@@ -302,7 +303,7 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff) -> list[tuple[str, float, 
 
     audit = audit_measure(game, payoff, upper_result)
     if not audit.passed:
-        failures.append(("measure_audit", audit.expectation, audit.price, 1e-10))
+        failures.append(("measure_audit", audit.expectation, audit.price, _AUDIT_TOL))
     return failures
 
 

@@ -148,7 +148,7 @@ def test_criterion_07_exact_measure_audits():
         game = GameSpec.scaled(TRI, rounds)
         for side in (Side.UPPER, Side.LOWER):
             result = price_european(game, BFLY, side)
-            audit = audit_measure(game, BFLY, result, tolerance=1e-10)
+            audit = audit_measure(game, BFLY, result)
             assert audit.passed, (rounds, side)
             assert audit.total_probability == 1
             assert abs(audit.expectation - result.price) <= 1e-10
@@ -158,7 +158,7 @@ def test_criterion_07_exact_measure_audits():
         game = GameSpec(moves, rng.randint(1, 10), 1.0)
         payoff = random_piecewise(rng)
         result = price_european(game, payoff, Side.UPPER)
-        audit = audit_measure(game, payoff, result, tolerance=1e-10)
+        audit = audit_measure(game, payoff, result)
         assert audit.passed and audit.total_probability == 1
     print("PASS criterion 7: extremal measures audit exactly (probabilities sum to 1,"
           " E[f] within 1e-10) for N<=10")

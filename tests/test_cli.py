@@ -527,6 +527,27 @@ def test_lp_dump(capsys, tmp_path):
     assert "VARS alpha M1 M2|a1 M2|a2 M2|a3" in text
 
 
+# sha256 of the --dump-lp files written while the matrix was built by a
+# Kronecker recursion: the one-pass build writes the same bytes, -0.0 included
+LP_DUMP_SHA256 = {
+    ("-1,1,2", "3", BUTTERFLY): "e308e1ea64ae402bd9d75daad73d522ab2c3acc046a985ce0050332f9691eb80",
+    ("-1,0,1,2", "3", BUTTERFLY): "71e778c3db975ba2a0bf9fc80cf8f39af680a5fe58c2133e620fcb500c93008d",
+    ("-1,1/3,1/2,2/3,2", "2", BUTTERFLY):
+        "138083571bccdcd23409d0644f7d4c0aaea316e8b8cb8f801cef6120a0a5da96",
+    ("-1,1", "6", "call(0)"): "d4fbda926015ff2e2a0c439124f8a8843790df3dbc4e3ceb64c7763a64f06949",
+}
+
+
+@pytest.mark.parametrize("moves, rounds, payoff", list(LP_DUMP_SHA256))
+def test_lp_dump_bytes_are_pinned(capsys, tmp_path, moves, rounds, payoff):
+    target = tmp_path / "problem.lp"
+    code, _, _ = run_json(capsys, "lp", f"--moves={moves}", "--rounds", rounds,
+                          "--payoff", payoff, "--dump-lp", str(target))
+    assert code == 0
+    assert " -0.0 " in target.read_text()
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_DUMP_SHA256[moves, rounds, payoff]
+
+
 def test_audit_budget_exit(capsys, monkeypatch):
     monkeypatch.setattr(verify, "_AUDIT_BUDGET", 1)
     code, out, err = run_cli(
@@ -548,13 +569,10 @@ def test_lattice_budget_exit(capsys, monkeypatch, extra, budget, err):
     assert (code, out, got) == (3, "", err)
 
 
-def test_lp_budget_exit(capsys):
-    code, _, err = run_cli(
-        capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
-        "--max-entries", "100",
-    )
-    assert code == 3
-    assert "exceeds 100 entries" in err
+def test_lp_budget_exit(capsys, monkeypatch):
+    monkeypatch.setattr(lp, "_MAX_ENTRIES", 100)
+    assert run_cli(capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY) == (
+        3, "", "error: LP of 27 rows x 14 columns: its tableau of 588 cells exceeds 100 entries\n")
 
 
 def test_lp_budget_counts_tableau_cells(capsys):
@@ -566,13 +584,6 @@ def test_lp_budget_counts_tableau_cells(capsys):
     assert run_cli(capsys, "fuzz", "--max-moves", "2", "--max-rounds", "12") == (
         2, "", "error: max_moves=2 and max_rounds=12 allow games whose LP passes the budget "
                "of 20000000 entries\n")
-
-
-@pytest.mark.parametrize("max_entries", ["0", "-1"])
-def test_lp_max_entries_below_one_is_exit_two(capsys, max_entries):
-    assert run_cli(capsys, "lp", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
-                   f"--max-entries={max_entries}") == (
-        2, "", f"error: max entries must be >= 1, got {max_entries}\n")
 
 
 def test_lp_solver_failure_is_exit_two(capsys, monkeypatch):
@@ -704,6 +715,32 @@ def test_lattice_overflow_is_exit_two(capsys, moves, rounds, extra):
     assert code == 2
     assert out == ""
     assert "int64" in err
+
+
+ONE_STEP = ["--moves=-1,1", "--rounds", "1"]
+PDE_BAND = ["pde", "--sigma2", "1,2", "--payoff", "call(0)"]
+
+
+@pytest.mark.parametrize("argv, value", [
+    ([*PDE_BAND, "--horizon", "1e400"], "1e400"),
+    ([*PDE_BAND, "--s-range=-1e400,1e400"], "-1e400"),
+    ([*PDE_BAND, "--ds", "1e400"], "1e400"),
+    (["pde", "--sigma2", "1e400,1e400", "--payoff", "call(0)"], "1e400"),
+    (["price", *ONE_STEP, "--scale", "1e400", "--payoff", "call(0)"], "1e400"),
+    (["price", *ONE_STEP, "--payoff", "call(1e400)"], "1e400"),
+    (["bounds", *ONE_STEP, "--payoff", "butterfly(0,1,1e400)"], "1e400"),
+    (["lp", *ONE_STEP, "--payoff", "put(-1e400)"], "-1e400"),
+    (["verify", *ONE_STEP, "--payoff", "call(0)", "--alpha", "1e400"], "1e400"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else value)
+def test_options_past_the_float_range_are_exit_two(capsys, argv, value):
+    assert run_cli(capsys, *argv) == (2, "", f"error: not a finite float: {value!r}\n")
+
+
+@pytest.mark.parametrize("command", ["price", "verify", "bounds", "lp", "pde", "converge"])
+def test_moves_past_the_float_range_are_exit_two(capsys, command):
+    rounds = [] if command in ("pde", "converge") else ["--rounds", "1"]
+    assert run_cli(capsys, command, "--moves=-1,1e400", *rounds, "--payoff", "call(0)") == (
+        2, "", "error: moves must lie within the float range\n")
 
 
 @pytest.mark.parametrize("payoff", [

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -25,7 +26,8 @@ from gamehedge import (
     solve_min,
 )
 from gamehedge import lp, verify
-from gamehedge.lp import dump_dense, path_payoff_vector, solve_side
+from gamehedge.lp import dump_dense, solve_side
+from gamehedge.model import path_payoff_vector
 from conftest import random_game, random_piecewise
 
 
@@ -225,15 +227,14 @@ def test_dual_enumeration_binomial_is_single_assignment():
     assert dual == pytest.approx(binomial_price(game, (0, 0), payoff), abs=1e-12)
 
 
-def test_max_entries_below_one_is_invalid(trinomial):
-    for max_entries in (0, -1):
-        with pytest.raises(ValueError, match=f"^max entries must be >= 1, got {max_entries}$"):
-            build_matrix(trinomial, 1, max_entries=max_entries)
+def test_budget_counts_tableau_cells(trinomial, monkeypatch):
     # the 3 x 2 matrix has a tableau of 2 rows and 3 + 2 + 1 columns
-    assert build_matrix(trinomial, 1, max_entries=2 * 6).shape == (3, 2)
+    monkeypatch.setattr(lp, "_MAX_ENTRIES", 2 * 6)
+    assert build_matrix(trinomial, 1).shape == (3, 2)
+    monkeypatch.setattr(lp, "_MAX_ENTRIES", 11)
     with pytest.raises(BudgetError, match="^LP of 3 rows x 2 columns: its tableau of 12 "
                                           "cells exceeds 11 entries$"):
-        build_matrix(trinomial, 1, max_entries=11)
+        build_matrix(trinomial, 1)
 
 
 def test_dual_enumeration_guards(monkeypatch):
@@ -505,3 +506,44 @@ def test_dual_form_matches_primal_on_random_games(seed):
 @pytest.mark.parametrize("rounds", [4, 5])
 def test_dual_form_matches_primal_on_mixed_payoff(trinomial, rounds):
     _assert_dual_matches_primal([build_problem(GameSpec.scaled(trinomial, rounds), MIXED)])
+
+
+# --- the one-pass matrix against the Kronecker recursion it replaced ---------
+
+
+def _kronecker_matrix(moves, rounds):
+    """build_matrix's matrix and names as they were built before, kept as its
+    oracle: A_1 = [1 | a] and A_N = [1 | Ahat_{N-1} (x) 1_k | I_{k^{N-1}} (x) a],
+    where a is the column of moves and Ahat drops the leading 1-column."""
+    k = moves.size
+    a = np.array([float(x) for x in moves.members]).reshape(k, 1)
+    labels = [f"a{t + 1}" for t in range(k)]
+    matrix = np.hstack([np.ones((k, 1)), a])
+    names = ["alpha", "M1"]
+    for n in range(2, rounds + 1):
+        matrix = np.hstack([
+            np.ones((k**n, 1)),
+            np.kron(matrix[:, 1:], np.ones((k, 1))),
+            np.kron(np.eye(k ** (n - 1)), a),
+        ])
+        names = names + [
+            "M%d|%s" % (n, "".join(labels[c] for c in prefix))
+            for prefix in itertools.product(range(k), repeat=n - 1)
+        ]
+    return matrix, names
+
+
+@pytest.mark.parametrize("members, rounds", [
+    ("-1,1,2", 1), ("-1,1,2", 4), ("-1,0,1,2", 3), ("-1,1/3,1/2,2/3,2", 3),
+    ("-1,1", 10), ("-1,1,2", 7), ("-2,-1/2,0,3", 4), ("-1/3,5/7", 8),
+])
+def test_matrix_matches_the_kronecker_recursion(members, rounds):
+    moves = MoveSpace.from_moves(members.split(","))
+    problem = build_matrix(moves, rounds)
+    matrix, names = _kronecker_matrix(moves, rounds)
+    # bit for bit: from N=2 on, 0 x a is -0.0 under a negative move, in both
+    assert np.array_equal(problem.constraints.view(np.int64), matrix.view(np.int64))
+    assert rounds == 1 or (np.signbit(matrix) & (matrix == 0.0)).any()
+    assert problem.variable_names == names
+    assert problem.objective.tolist() == [1.0] + [0.0] * (len(names) - 1)
+    assert problem.rhs.tolist() == [0.0] * matrix.shape[0]
