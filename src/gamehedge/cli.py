@@ -39,6 +39,9 @@ from .model import (
 
 _SHORTHAND = re.compile(r"^(call|put|butterfly|sine|sin)\s*\((.*)\)$", re.IGNORECASE)
 
+# a4 values times N values one sweep-quad may price (the default sweep needs 2,500)
+_SWEEP_BUDGET = 10**5
+
 
 def _finite(text: str) -> float:
     """The rational ``text`` as a float; ValueError naming it when it lies
@@ -314,16 +317,19 @@ def cmd_sweep_quad(args) -> int:
     step = parse_rational(args.a4_step)
     if a4_min <= 0 or step <= 0 or a4_max < a4_min:
         raise ValueError("need 0 < a4-min <= a4-max and a4-step > 0")
+    a4_count = (a4_max - a4_min) // step + 1
+    if a4_count * len(n_list) > _SWEEP_BUDGET:
+        raise BudgetError(f"{a4_count} a4 values at {len(n_list)} N need {a4_count * len(n_list)} "
+                          f"pricings, past the budget of {_SWEEP_BUDGET}")
 
     rows = []
     for rounds in n_list:
         game = GameSpec.scaled(base, rounds)
         rows.append(["", rounds, repr(induction.price_european(game, payoff, Side.UPPER).price)])
 
-    a4 = a4_min
     members = set(base.members)
     started = time.perf_counter()
-    while a4 <= a4_max:
+    for a4 in (a4_min + k * step for k in range(a4_count)):
         if a4 in members:
             print(f"skipping a4={a4}: already a move", file=sys.stderr)
         else:
@@ -332,7 +338,6 @@ def cmd_sweep_quad(args) -> int:
                 game = GameSpec.scaled(quad, rounds)
                 price = induction.price_european(game, payoff, Side.UPPER).price
                 rows.append([str(a4), rounds, repr(price)])
-        a4 += step
     _timing(args, started)
     _emit_csv(args, ["a4", "N", "upper"], rows)
     return 0
@@ -408,9 +413,7 @@ def cmd_verify(args) -> int:
     side = Side(args.side)
     result = induction.price_european(game, payoff, side)
     alpha = result.price if args.alpha is None else _finite(args.alpha)
-    report = verify.check_replication(
-        game, payoff, alpha, result.strategy, side, tolerance=args.tolerance
-    )
+    report = verify.check_replication(game, payoff, alpha, result.strategy, side)
     audit = verify.audit_measure(game, payoff, result)
     out = {
         "alpha": alpha,
@@ -535,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="superreplication replay and exact measure audit")
     _add_game_options(sub)
     sub.add_argument("--alpha", help="replay from this level instead of the computed price")
-    sub.add_argument("--tolerance", type=float, default=1e-9)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("fuzz", help="randomized cross-route consistency checks")

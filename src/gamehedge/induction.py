@@ -95,19 +95,23 @@ def _union(candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(hit) + low, (np.cumsum(hit) - 1)[offsets]
 
 
-def _forward_lattice(moves: MoveSpace, rounds: int, grow=None):
+def _keep(kept: int, rounds: int) -> None:
+    """Refuse ``kept`` nodes after ``rounds`` rounds past _LATTICE_BUDGET."""
+    if kept > _LATTICE_BUDGET:
+        raise BudgetError(f"{kept} lattice nodes after {rounds} rounds exceed "
+                          f"the budget of {_LATTICE_BUDGET}")
+
+
+def _forward_lattice(moves: MoveSpace, rounds: int):
     """The integer lattice of ``rounds`` rounds of ``moves``.
 
     Returns (denom, levels, links): the common denominator of the moves,
-    and per round the groups of reachable sums, each sorted, with the
-    position of each candidate sum of round n+1 in its group (``links[n][g]``,
-    in the candidates' shape).  ``grow(n, groups, deltas)`` gives, from the
-    moves times denom (ascending int64), the candidates of round n+1, one
-    array per group; by default one group of every node of round n plus
-    every move, of shape (moves, nodes).
+    and per round its reachable sums in ascending order (``levels[n]``)
+    and the position in ``levels[n+1]`` of each sum plus each move
+    (``links[n]``, of shape (moves, nodes)).
 
     Raises ValueError when a sum could leave int64, and BudgetError as soon
-    as the groups kept hold more than _LATTICE_BUDGET nodes.
+    as the rounds kept hold more than _LATTICE_BUDGET nodes.
     """
     denom = math.lcm(*(a.denominator for a in moves.members))
     deltas = [a.numerator * (denom // a.denominator) for a in moves.members]
@@ -116,17 +120,12 @@ def _forward_lattice(moves: MoveSpace, rounds: int, grow=None):
             f"{rounds} rounds of these moves overflow the lattice's int64 sums "
             f"(common denominator {denom})"
         )
-    deltas = np.array(deltas, dtype=np.int64)
-    if grow is None:
-        def grow(n, groups, deltas):
-            return [groups[0] + deltas[:, None]]
-    levels, links, kept = [[np.zeros(1, dtype=np.int64)]], [], 1
+    deltas = np.array(deltas, dtype=np.int64)[:, None]
+    levels, links, kept = [np.zeros(1, dtype=np.int64)], [], 1
     for n in range(rounds):
-        level, link = zip(*map(_union, grow(n, levels[n], deltas)))
-        kept += sum(map(len, level))
-        if kept > _LATTICE_BUDGET:
-            raise BudgetError(f"{kept} lattice nodes after {n + 1} rounds exceed "
-                              f"the budget of {_LATTICE_BUDGET}")
+        level, link = _union(levels[n] + deltas)
+        kept += len(level)
+        _keep(kept, n + 1)
         levels.append(level)
         links.append(link)
     return denom, levels, links
@@ -148,14 +147,13 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     pairs = PairTable.of(moves)
     denom, levels, links = _forward_lattice(moves, rounds)
 
-    terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
+    terminal = values = _terminal_values(payoff, scale, levels[rounds].tolist(), denom)
     steps = []
     for n in range(rounds - 1, -1, -1):
-        (link,) = links[n]
-        values, rows, positions = replicating_step(values[link], pairs, side)
-        steps.append((values, rows, positions, link))
+        values, rows, positions = replicating_step(values[links[n]], pairs, side)
+        steps.append((values, rows, positions, links[n]))
     return _result(side, pairs, terminal, steps,
-                   lambda n: [(n, Fraction(s, denom)) for s in levels[n][0].tolist()], "lattice")
+                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice")
 
 
 def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
@@ -194,59 +192,68 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     chord slopes, unclamped: a pruned value is no superhedging level, and
     only the extremal pair's two moves are linked.
 
-    The nodes of round n are its groups, each in ascending sum: one per
-    pair, in pair order, where ``inherits(n)``, else one.  They are named
-    (round, exact sum, inherited pair or None).
+    The states of round n are rows over the nodes of the exact lattice:
+    one row per pair, in pair order, where ``inherits(n)``, else one.  A
+    row marks the nodes its states reach, and the states are numbered row
+    by row in ascending sum.  They are named (round, exact sum, inherited
+    pair or None).
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     q = schedule.period
     pairs = PairTable.of(moves)
-    every_pair = range(len(pairs.nodes))
-    ends = np.stack([pairs.neg, pairs.pos])
+    every_pair = np.arange(len(pairs.nodes))[:, None]
+    denom, levels, links = _forward_lattice(moves, rounds)
 
     def inherits(n: int) -> bool:
-        """Whether round n keeps an inherited pair: one group of states per
-        pair, pair p offered to group p.  Elsewhere (re-selection rounds and
-        the leaves) one group is offered every pair."""
+        """Whether round n has one row of states per pair, each offered
+        only its pair, rather than one row offered every pair."""
         return n % q != 0 and n != rounds
 
-    def offered(n: int, level) -> list[np.ndarray]:
-        """The sums each pair is offered to at round n, in pair order."""
-        return list(level) if inherits(n) else [level[0]] * len(every_pair)
+    def children(n: int):
+        """The pair of each state of round n (every pair, as a column, where
+        it does not inherit), and the (row, node) cells in round n+1 of the
+        pair's negative and positive child."""
+        row, node = np.nonzero(reach[n])
+        pair = row if inherits(n) else every_pair
+        kid_row = pair if inherits(n + 1) else 0
+        return pair, [(kid_row, links[n][ends[pair], node]) for ends in (pairs.neg, pairs.pos)]
 
-    def grow(n: int, level, deltas: np.ndarray) -> list[np.ndarray]:
-        """Per pair, the (negative, positive move) x node block of its
-        children: its group of round n+1, or all joined into the one group."""
-        blocks = [sums + deltas[ends[:, p], None] for p, sums in zip(every_pair, offered(n, level))]
-        return blocks if inherits(n + 1) else [np.concatenate(blocks, axis=1)]
+    reach, kept = [np.ones((1, 1), dtype=bool)], 1
+    for n in range(rounds):
+        reach.append(np.zeros((len(every_pair) if inherits(n + 1) else 1, len(levels[n + 1])),
+                              dtype=bool))
+        for cell in children(n)[1]:
+            reach[-1][cell] = True
+        kept += int(np.count_nonzero(reach[-1]))
+        _keep(kept, n + 1)
 
-    denom, levels, links = _forward_lattice(moves, rounds, grow)
-
-    terminal = values = _terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
+    leaves = levels[rounds][reach[rounds][0]]
+    terminal = values = _terminal_values(payoff, scale, leaves.tolist(), denom)
     steps = []
     for n in range(rounds - 1, -1, -1):
-        starts = np.cumsum([0] + [len(sums) for sums in levels[n + 1]])
-        # grow's blocks as nodes of round n+1, stacked to (move, offered pair, node) per group
-        children = np.split(np.concatenate([s + link for s, link in zip(starts, links[n])], axis=1),
-                            np.cumsum([len(sums) for sums in offered(n, levels[n])])[:-1], axis=1)
-        choices = ([([p], pairs.only(p), block[:, None]) for p, block in zip(every_pair, children)]
-                   if inherits(n) else [(every_pair, pairs, np.stack(children, axis=1))])
-        parts = []
-        for numbers, table, kids in choices:
-            best, index, slope = best_pair(*values[kids], table, Side.UPPER)
-            cols = np.arange(kids.shape[-1])
-            link = np.full((moves.size, len(cols)), -1)
-            link[table.neg[index], cols], link[table.pos[index], cols] = kids[:, index, cols]
-            parts.append((best, np.array(numbers)[index], slope, link))
-        steps.append(tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
-        values = steps[-1][0]
+        number = (np.cumsum(reach[n + 1]) - 1).reshape(reach[n + 1].shape)
+        pair, cells = children(n)
+        kid_neg, kid_pos = (number[cell] for cell in cells)
+        neg, pos = values[kid_neg], values[kid_pos]
+        cols = np.arange(kid_neg.shape[-1])
+        if inherits(n):
+            best = pairs.w_neg[pair, 0] * neg + pairs.w_pos[pair, 0] * pos
+            slope = (pos - neg) / pairs.span[pair, 0]
+        else:
+            best, pair, slope = best_pair(neg, pos, pairs, Side.UPPER)
+            kid_neg, kid_pos = kid_neg[pair, cols], kid_pos[pair, cols]
+        link = np.full((moves.size, len(cols)), -1)
+        link[pairs.neg[pair], cols], link[pairs.pos[pair], cols] = kid_neg, kid_pos
+        steps.append((best, pair, slope, link))
+        values = best
 
     def names(n: int) -> list[tuple]:
-        tags = [pairs.nodes[p].pair for p in every_pair] if inherits(n) else [None]
-        return [(n, Fraction(s, denom), tag)
-                for tag, sums in zip(tags, levels[n]) for s in sums.tolist()]
+        row, node = np.nonzero(reach[n])
+        tags = [node.pair for node in pairs.nodes] if inherits(n) else [None]
+        return [(n, Fraction(s, denom), tags[r])
+                for r, s in zip(row.tolist(), levels[n][node].tolist())]
 
     return _result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
 

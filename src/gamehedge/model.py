@@ -54,6 +54,8 @@ def _as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"float move {value!r} is not finite")
         # floats are accepted for convenience where they are small rationals:
         # the nearest one of denominator <= 10**6 must round back to the float
         snapped = Fraction(value).limit_denominator(10**6)

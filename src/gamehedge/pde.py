@@ -25,7 +25,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import Payoff, Side, evaluate_payoff, is_path_dependent
+from .model import BudgetError, Payoff, Side, evaluate_payoff, is_path_dependent
+
+# Space nodes a grid may have: a march of 4*10^6 nodes peaks near 0.2 GB
+# RSS, most of it the payoff row built as a list.
+_GRID_BUDGET = 1 << 22
 
 
 class StabilityError(ValueError):
@@ -107,7 +111,8 @@ def solve(
 def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,
            sigma_max_sq: float) -> tuple[np.ndarray, int, float, float]:
     """Check the arguments of march or solve; return the payoff row, the
-    step count and the step weights where phi_ss >= 0 and where it is < 0."""
+    step count and the step weights where phi_ss >= 0 and where it is < 0.
+    Raises BudgetError past _GRID_BUDGET space nodes."""
     if is_path_dependent(payoff):
         raise ValueError("the PDE limit is for European payoffs")
     if not (0 <= sigma_min_sq <= sigma_max_sq) or sigma_max_sq <= 0:
@@ -124,6 +129,8 @@ def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,
             stacklevel=3,  # the caller of march or solve
         )
 
+    if grid.n_space + 1 > _GRID_BUDGET:
+        raise BudgetError(f"{grid.n_space + 1} space nodes exceed the budget of {_GRID_BUDGET}")
     row = np.array([evaluate_payoff(payoff, x) for x in grid.s_values()], dtype=float)
     coef = grid.dt / (2.0 * grid.ds * grid.ds)
     if side is Side.UPPER:

@@ -9,8 +9,8 @@ and the lower price is the corresponding minimum.  The maximizing (resp.
 minimizing) pair carries the extremal zero-mean measure and the optimal
 one-step position.  ``best_pair`` evaluates that step for a whole level of
 nodes at once and ``clamp_position`` turns the extremal chord slopes into
-replicating positions; the lattice, tree and pruned inductions only supply
-the child values.
+replicating positions; the lattice, tree and pruned inductions supply the
+child values (a pruned round that inherits a pair weighs only that pair).
 """
 from __future__ import annotations
 
@@ -51,14 +51,6 @@ class PairTable:
         ])
         return cls(tuple(float(a) for a in moves.members), nodes, index[:, 0], index[:, 1],
                    floats[:, 0:1], floats[:, 1:2], floats[:, 2:3])
-
-    def only(self, p: int) -> "PairTable":
-        """The one-row table of pair number ``p``."""
-        rows = slice(p, p + 1)
-        return PairTable(
-            self.moves, self.nodes[rows], self.neg[rows], self.pos[rows],
-            self.w_neg[rows], self.w_pos[rows], self.span[rows],
-        )
 
 
 def best_pair(

@@ -73,6 +73,8 @@ _REPLAY_BUDGET = 10**7  # paths one replay may visit: about 3 s at the limit
 _AUDIT_BUDGET = 1 << 18
 # how far the audited measure's expected payoff may lie from the price
 _AUDIT_TOL = 1e-10
+# how far below zero a replayed slack may lie
+_REPLAY_TOL = 1e-9
 
 
 def _check_links(strategy: Strategy, game: GameSpec) -> None:
@@ -94,12 +96,11 @@ def check_superreplication(
     payoff: Payoff,
     alpha: float,
     strategy: Strategy,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Replay a strategy on every path and report the worst slack.
 
     The slack on a path is alpha + sum_n M_n * x_n - f(path); the strategy
-    superreplicates from alpha iff the minimum slack is >= -tolerance.  The
+    superreplicates from alpha iff the minimum slack is >= -_REPLAY_TOL.  The
     replay follows the strategy's links from the root, so it needs a link
     for every move: pruned strategies, which link only the extremal pair,
     are refused because a pruned value is only a lower bound on the upper
@@ -110,11 +111,8 @@ def check_superreplication(
     blocks with the float operations of a path-by-path walk and an exact
     terminal sum.  On equal slacks the lexicographically last path is
     reported; a NaN slack counts as the minimum, so it fails.  Raises
-    ValueError unless the tolerance is finite and >= 0, and BudgetError
-    past _REPLAY_BUDGET paths.
+    BudgetError past _REPLAY_BUDGET paths.
     """
-    if not 0.0 <= tolerance < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance}")
     moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
     k, members = moves.size, moves.members
     leaves = k**rounds
@@ -151,7 +149,7 @@ def check_superreplication(
         min_slack=min_slack,
         worst_path=path,
         paths_checked=leaves,
-        passed=min_slack >= -tolerance,
+        passed=min_slack >= -_REPLAY_TOL,
     )
 
 
@@ -161,7 +159,6 @@ def check_replication(
     alpha: float,
     strategy: Strategy,
     side: Side,
-    tolerance: float = 1e-9,
 ) -> VerificationReport:
     """Replay a strategy of the given side from alpha on every path.
 
@@ -171,9 +168,9 @@ def check_replication(
     replayed; the slacks are reported on that negated problem.
     """
     if side is Side.UPPER:
-        return check_superreplication(game, payoff, alpha, strategy, tolerance)
+        return check_superreplication(game, payoff, alpha, strategy)
     negated = replace(strategy, positions=tuple(-p for p in strategy.positions))
-    return check_superreplication(game, negate_payoff(payoff), -alpha, negated, tolerance)
+    return check_superreplication(game, negate_payoff(payoff), -alpha, negated)
 
 
 def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> MeasureAudit:
@@ -299,7 +296,7 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff) -> list[tuple[str, float, 
                          ("subreplication", lower_result)):
         replay = check_replication(game, payoff, result.price, result.strategy, result.side)
         if not replay.passed:
-            failures.append((name, replay.min_slack, 0.0, 1e-9))
+            failures.append((name, replay.min_slack, 0.0, _REPLAY_TOL))
 
     audit = audit_measure(game, payoff, upper_result)
     if not audit.passed:

@@ -259,6 +259,15 @@ def test_pde_dump_field(capsys, tmp_path):
     assert len(rows) == 1 + 11 * 9  # (n_time+1) * (n_space+1)
 
 
+def test_pde_grid_budget_exit_writes_no_dump(capsys, tmp_path):
+    target = tmp_path / "field.csv"
+    assert run_cli(capsys, "pde", "--sigma2", "1,2", "--payoff", "call(0)", "--s-range=-1e8,1e8",
+                   "--ds", "1/10", "--dt", "1/400", "--horizon", "1/100",
+                   "--dump-field", str(target)) == (
+        3, "", "error: 2000000001 space nodes exceed the budget of 4194304\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of the CSV written by the original whole-field solver, pinned
 # before --dump-field streamed its rows
 DUMP_SHA256 = {
@@ -422,6 +431,29 @@ def test_sweep_quad(capsys):
     # inserting a move cannot shrink the upper price
     assert float(rows[3][2]) >= float(rows[1][2]) - 1e-12
     assert float(rows[4][2]) >= float(rows[2][2]) - 1e-12
+
+
+def test_sweep_quad_budget_is_checked_before_any_pricing(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("priced before the budget check")
+
+    monkeypatch.setattr(induction, "price_european", refuse)
+    # (5 - 1/10) / 10^-10 + 1 a4 values, counted in Fractions
+    assert run_cli(capsys, "sweep-quad", "--a4-step", "1/10000000000", "--n-list", "1") == (
+        3, "", "error: 49000000001 a4 values at 1 N need 49000000001 pricings, "
+               "past the budget of 100000\n")
+    # the default sweep needs 50 a4 values times N = 1..50
+    monkeypatch.setattr(cli, "_SWEEP_BUDGET", 2499)
+    assert run_cli(capsys, "sweep-quad") == (
+        3, "", "error: 50 a4 values at 50 N need 2500 pricings, past the budget of 2499\n")
+    monkeypatch.undo()
+    # the sweep of test_sweep_quad prices 2 a4 values (one skipped) at 2 N
+    monkeypatch.setattr(cli, "_SWEEP_BUDGET", 4)
+    argv = ["sweep-quad", "--a4-min", "3/2", "--a4-max", "2", "--a4-step", "1/2", "--n-list", "1,2"]
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(cli, "_SWEEP_BUDGET", 3)
+    assert run_cli(capsys, *argv) == (
+        3, "", "error: 2 a4 values at 2 N need 4 pricings, past the budget of 3\n")
 
 
 def test_sweep_quad_rejects_bad_range(capsys):
@@ -639,16 +671,12 @@ def test_verify_underfunded_alpha_fails(capsys):
     assert code == 4
     assert out["superreplicates"] is False
     assert out["min_slack"] < -1e-9
-
-
-def test_verify_tolerance_must_be_finite(capsys):
-    # --alpha -100 is far underfunded, which an infinite tolerance would pass
-    base = ["verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", "call(0)", "--alpha", "-100"]
-    for tolerance in ("inf", "nan", "-1e-9"):
-        code, out, err = run_cli(capsys, *base, f"--tolerance={tolerance}")
-        assert (code, out) == (2, ""), tolerance
-        assert err.startswith("error: tolerance must be finite and >= 0")
-    assert run_cli(capsys, *base, "--tolerance", "0")[0] == 4
+    # the replay tolerance is verify._REPLAY_TOL, not an option
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
+              "--alpha", "0.01", "--tolerance", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
 
 def test_fuzz_command(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -25,6 +26,7 @@ from gamehedge import (
 )
 from gamehedge import induction
 from gamehedge.lp import solve_side
+from gamehedge.singlestep import PairTable, best_pair
 from conftest import extract_measure, random_game, random_piecewise
 from test_singlestep import step_strategy
 
@@ -357,9 +359,9 @@ def test_forward_lattice_matches_unique_and_searchsorted(monkeypatch, space, bra
     deltas = np.array([int(a * denom) for a in moves.members], dtype=np.int64)
     want_levels, want_links = _oracle_lattice(deltas, rounds)
     assert len(levels) == rounds + 1 and len(links) == rounds
-    for (level,), want in zip(levels, want_levels):
+    for level, want in zip(levels, want_levels):
         assert level.dtype == want.dtype and np.array_equal(level, want)
-    for (link,), want in zip(links, want_links):
+    for link, want in zip(links, want_links):
         assert link.dtype == want.dtype and np.array_equal(link, want)
 
 
@@ -397,6 +399,84 @@ def test_pruned_route_reads_the_builders_links(monkeypatch, butterfly):
         _assert_same_result(a, b)
 
 
+def _grown_lattice(moves, rounds, grow):
+    """The forward lattice as node groups: ``grow(n, groups, deltas)``
+    gives the candidate sums of round n+1, one array per group; returns
+    (denom, levels, links), per round the groups' sorted sums and each
+    candidate's position in its group."""
+    denom = math.lcm(*(a.denominator for a in moves.members))
+    deltas = np.array([int(a * denom) for a in moves.members], dtype=np.int64)
+    levels, links = [[np.zeros(1, dtype=np.int64)]], []
+    for n in range(rounds):
+        level, link = zip(*map(induction._union, grow(n, levels[n], deltas)))
+        levels.append(level)
+        links.append(link)
+    return denom, levels, links
+
+
+def _grouped_pruned(game, payoff, schedule):
+    """The pruned route as it was before its states became rows over the
+    exact lattice: the builder grows one group of sums per inherited pair,
+    and each group's pair is priced with a one-row pair table."""
+    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
+    q = schedule.period
+    pairs = PairTable.of(moves)
+    every_pair = range(len(pairs.nodes))
+    ends = np.stack([pairs.neg, pairs.pos])
+
+    def only(p):
+        rows = slice(p, p + 1)
+        return dataclasses.replace(pairs, nodes=pairs.nodes[rows], neg=pairs.neg[rows],
+                                   pos=pairs.pos[rows], w_neg=pairs.w_neg[rows],
+                                   w_pos=pairs.w_pos[rows], span=pairs.span[rows])
+
+    def inherits(n):
+        return n % q != 0 and n != rounds
+
+    def offered(n, level):
+        return list(level) if inherits(n) else [level[0]] * len(every_pair)
+
+    def grow(n, level, deltas):
+        blocks = [sums + deltas[ends[:, p], None] for p, sums in zip(every_pair, offered(n, level))]
+        return blocks if inherits(n + 1) else [np.concatenate(blocks, axis=1)]
+
+    denom, levels, links = _grown_lattice(moves, rounds, grow)
+
+    terminal = values = induction._terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
+    steps = []
+    for n in range(rounds - 1, -1, -1):
+        starts = np.cumsum([0] + [len(sums) for sums in levels[n + 1]])
+        children = np.split(np.concatenate([s + link for s, link in zip(starts, links[n])], axis=1),
+                            np.cumsum([len(sums) for sums in offered(n, levels[n])])[:-1], axis=1)
+        choices = ([([p], only(p), block[:, None]) for p, block in zip(every_pair, children)]
+                   if inherits(n) else [(every_pair, pairs, np.stack(children, axis=1))])
+        parts = []
+        for numbers, table, kids in choices:
+            best, index, slope = best_pair(*values[kids], table, Side.UPPER)
+            cols = np.arange(kids.shape[-1])
+            link = np.full((moves.size, len(cols)), -1)
+            link[table.neg[index], cols], link[table.pos[index], cols] = kids[:, index, cols]
+            parts.append((best, np.array(numbers)[index], slope, link))
+        steps.append(tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
+        values = steps[-1][0]
+
+    def names(n):
+        tags = [pairs.nodes[p].pair for p in every_pair] if inherits(n) else [None]
+        return [(n, F(s, denom), tag) for tag, sums in zip(tags, levels[n]) for s in sums.tolist()]
+
+    return induction._result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
+
+
+@pytest.mark.parametrize("space, rounds", [(space, rounds) for space in LATTICE_SPACES
+                                           for rounds in (1, 2, 5, 12)] + [("tri", 50)])
+def test_pruned_rows_match_the_node_groups(space, rounds, butterfly):
+    game = GameSpec.scaled(MoveSpace.from_moves(LATTICE_SPACES[space]), rounds)
+    for q in sorted({1, 2, 3, rounds}):
+        schedule = PruneSchedule(q)
+        _assert_same_result(price_pruned(game, butterfly, schedule),
+                            _grouped_pruned(game, butterfly, schedule))
+
+
 def test_union_branch_follows_density(monkeypatch, butterfly):
     calls = []
     unique = np.unique
@@ -424,3 +504,17 @@ def test_lattice_budget(monkeypatch, trinomial, butterfly):
                            match=f"^{kept} lattice nodes after 3 rounds exceed the budget of {kept - 1}$"):
             price()
         monkeypatch.undo()
+
+
+def test_lattice_budget_counts_the_exact_lattice_of_the_pruned_route(monkeypatch, butterfly):
+    # at q=N the five-move game keeps 102 pruned states over an exact
+    # lattice of 221 nodes: the lattice the pruned rows lie on is refused
+    game = GameSpec.scaled(MoveSpace.from_moves(LATTICE_SPACES["five"]), 6)
+    pruned = sum(map(len, price_pruned(game, butterfly, PruneSchedule(6)).node_values))
+    exact = np.cumsum([len(v) for v in price_european(game, butterfly, Side.UPPER).node_values])
+    assert (pruned, exact[-1]) == (102, 221)
+    monkeypatch.setattr(induction, "_LATTICE_BUDGET", pruned)
+    n = int(np.argmax(exact > pruned))
+    with pytest.raises(BudgetError,
+                       match=f"^{exact[n]} lattice nodes after {n} rounds exceed the budget of {pruned}$"):
+        price_pruned(game, butterfly, PruneSchedule(6))

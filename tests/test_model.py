@@ -266,6 +266,12 @@ def test_float_moves_that_do_not_round_trip_are_refused():
         MoveSpace.from_moves([-1, 0.1234567891, 2])
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_float_moves_are_refused(value):
+    with pytest.raises(ValueError, match=f"^float move {value!r} is not finite$"):
+        MoveSpace.from_moves([value, -1, 1])
+
+
 @given(st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30),
        st.fractions(min_value=F(-50), max_value=F(50), max_denominator=30))
 def test_rational_order_consistent_with_float(a, b):

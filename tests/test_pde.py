@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gamehedge import (
+    BudgetError,
     Call,
     GridSpec,
     PathDependent,
@@ -18,6 +19,7 @@ from gamehedge import (
     solve,
     value_at,
 )
+from gamehedge import pde
 from gamehedge.cli import main
 from gamehedge.model import evaluate_payoff
 
@@ -145,6 +147,19 @@ def test_march_checks_its_arguments_when_called(butterfly):
         march(WIDE, PathDependent(sum), Side.UPPER, 1.0, 2.0)
     with pytest.warns(UserWarning):
         march(WIDE, butterfly, Side.UPPER, 0.0, 2.0)
+
+
+def test_grid_budget_counts_space_nodes_before_the_payoff_row(monkeypatch, butterfly):
+    # 2*10^6 + 1 nodes (-1e5..1e5 at ds 1/10) fit the default budget
+    assert GridSpec(-1e5, 1e5, 0.1, 0.0025, 0.01).n_space + 1 <= pde._GRID_BUDGET
+    grid = GridSpec(-2.0, 2.0, 0.1, 0.004)  # 41 space nodes
+    monkeypatch.setattr(pde, "_GRID_BUDGET", 41)
+    solve(grid, butterfly, Side.UPPER, 1.0, 2.0)
+    monkeypatch.setattr(pde, "_GRID_BUDGET", 40)
+    monkeypatch.setattr(pde, "evaluate_payoff", None)
+    for run in (solve, march):
+        with pytest.raises(BudgetError, match="^41 space nodes exceed the budget of 40$"):
+            run(grid, butterfly, Side.UPPER, 1.0, 2.0)
 
 
 def test_march_stops_at_the_first_non_finite_row():

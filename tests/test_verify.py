@@ -91,18 +91,18 @@ def test_replay_budget(monkeypatch, trinomial, butterfly):
         check_superreplication(game, butterfly, result.price, result.strategy)
 
 
-@pytest.mark.parametrize("tolerance", [math.inf, math.nan, -1e-9])
-def test_tolerance_must_be_finite_and_nonnegative(trinomial, butterfly, tolerance):
-    # alpha misses the price by 100 on the failing side, which an infinite
-    # tolerance would let pass
+def test_replay_tolerance_is_the_module_constant(monkeypatch, trinomial, butterfly):
     game = GameSpec(trinomial, 3, 1.0)
-    for side, miss in ((Side.UPPER, -100.0), (Side.LOWER, 100.0)):
+    for side, sign in ((Side.UPPER, -1.0), (Side.LOWER, 1.0)):
         result = price_european(game, butterfly, side)
-        alpha = result.price + miss
-        with pytest.raises(ValueError, match="tolerance must be finite and >= 0"):
-            verify.check_replication(game, butterfly, alpha, result.strategy, side, tolerance)
-        assert not verify.check_replication(game, butterfly, alpha, result.strategy, side,
-                                            0.0).passed
+        for miss, passed in ((1e-10, True), (1e-8, False)):
+            alpha = result.price + sign * miss
+            assert verify.check_replication(game, butterfly, alpha, result.strategy,
+                                            side).passed is passed
+        monkeypatch.setattr(verify, "_REPLAY_TOL", 0.0)
+        alpha = result.price + sign * 1e-10
+        assert not verify.check_replication(game, butterfly, alpha, result.strategy, side).passed
+        monkeypatch.undo()
 
 
 def test_missing_link_is_reported(trinomial, butterfly):
