@@ -8,7 +8,10 @@ has been run for the same workloads and seeds.  Their
 ``.perfbench/results/*-trace0.json`` records are read, nothing else.  For
 every workload the output holds the seeds, each checkout's per-run value of
 every end-to-end metric and the median over the seeds, and the change's
-median over the parent's.  Each side also records its commit, the
+median over the parent's.  Next to them go each run's worker speed probe
+(``details.probe_s_median``) and run length (``details.samples`` and
+``details.cycles``), so that a machine that ran slower or a run that was
+short shows beside a claim.  Each side also records its commit, the
 ``src_sha256`` of the source it ran and T; the script refuses records from
 more than one source or T per side, or seed sets that differ between the
 sides.
@@ -22,8 +25,12 @@ import sys
 from pathlib import Path
 
 
+# the record's details kept per run
+DETAILS = ("probe_s_median", "samples", "cycles")
+
+
 def read_side(checkout: Path) -> tuple[dict, dict[str, dict[int, dict]]]:
-    """(environment summary, {workload: {seed: end-to-end metrics}}) of one checkout."""
+    """(environment summary, {workload: {seed: record}}) of one checkout."""
     records = sorted((checkout / ".perfbench" / "results").glob("*-trace0.json"))
     if not records:
         raise SystemExit(f"no *-trace0.json records under {checkout}/.perfbench/results")
@@ -32,7 +39,7 @@ def read_side(checkout: Path) -> tuple[dict, dict[str, dict[int, dict]]]:
         record = json.loads(path.read_text())
         env = record["environment"]
         sources.add((env.get("commit"), env["src_sha256"], record["seconds"]))
-        runs.setdefault(record["workload"], {})[record["seed"]] = record["result"]["metrics"]
+        runs.setdefault(record["workload"], {})[record["seed"]] = record
     if len(sources) != 1:
         raise SystemExit(f"{checkout}: records from {len(sources)} different sources")
     (commit, src_sha256, seconds), = sources
@@ -56,17 +63,20 @@ def main(argv=None) -> int:
         seeds = sorted(parent_runs[workload])
         if seeds != sorted(change_runs[workload]):
             raise SystemExit(f"{workload}: the two sides ran different seeds")
+        sides = (("parent", parent_runs[workload]), ("change", change_runs[workload]))
         metrics = {}
-        for name, first in parent_runs[workload][seeds[0]].items():
+        for name, first in parent_runs[workload][seeds[0]]["result"]["metrics"].items():
             entry = {"unit": first["unit"]}
-            for side, runs in (("parent", parent_runs), ("change", change_runs)):
-                values = [runs[workload][seed][name]["value"] for seed in seeds]
+            for side, runs in sides:
+                values = [runs[seed]["result"]["metrics"][name]["value"] for seed in seeds]
                 entry[f"{side}_runs"] = values
                 entry[f"{side}_median"] = statistics.median(values)
             if entry["parent_median"]:
                 entry["change_over_parent"] = entry["change_median"] / entry["parent_median"]
             metrics[name] = entry
-        workloads[workload] = {"seeds": seeds, "metrics": metrics}
+        details = {name: {f"{side}_runs": [runs[seed]["details"][name] for seed in seeds]
+                          for side, runs in sides} for name in DETAILS}
+        workloads[workload] = {"seeds": seeds, "metrics": metrics, "details": details}
 
     bench = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0",

@@ -83,13 +83,13 @@ def _game_from_args(args) -> GameSpec:
     return GameSpec(moves, args.rounds, _finite(args.scale))
 
 
-def _n_list(text: str, n_max: int = 0) -> list[int]:
-    """The N values of a comma-separated list, or 1..n_max when it is
-    empty; refuses an empty result and any N < 1."""
-    n_list = [int(p) for p in text.split(",")] if text else list(range(1, n_max + 1))
+def _n_list(text: str, n_max: int = 0) -> list[int] | range:
+    """The N values of a comma-separated list, or the range 1..n_max when
+    it is empty; refuses an empty result and any N < 1."""
+    n_list = [int(p) for p in text.split(",")] if text else range(1, n_max + 1)
     if not n_list:
         raise ValueError("no N to price")
-    if min(n_list) < 1:
+    if text and min(n_list) < 1:
         raise ValueError(f"every N must be >= 1, got {min(n_list)}")
     return n_list
 
@@ -318,8 +318,9 @@ def cmd_sweep_quad(args) -> int:
     if a4_min <= 0 or step <= 0 or a4_max < a4_min:
         raise ValueError("need 0 < a4-min <= a4-max and a4-step > 0")
     a4_count = (a4_max - a4_min) // step + 1
-    if a4_count * len(n_list) > _SWEEP_BUDGET:
-        raise BudgetError(f"{a4_count} a4 values at {len(n_list)} N need {a4_count * len(n_list)} "
+    n_count = len(n_list) if args.n_list else args.n_max  # len() of a range stops at 2**63
+    if a4_count * n_count > _SWEEP_BUDGET:
+        raise BudgetError(f"{a4_count} a4 values at {n_count} N need {a4_count * n_count} "
                           f"pricings, past the budget of {_SWEEP_BUDGET}")
 
     rows = []

@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .model import (
     MoveSpace,
     Payoff,
     PriceResult,
-    RiskNeutralNode,
     Side,
     Strategy,
     evaluate_payoff,
@@ -256,33 +254,4 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
                 for r, s in zip(row.tolist(), levels[n][node].tolist())]
 
     return _result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
-
-
-def measure_walk(
-    result: PriceResult, game: GameSpec
-) -> Iterator[tuple[tuple, Fraction, RiskNeutralNode | None]]:
-    """Depth-first walk over the supported paths of the extremal measure.
-
-    Follows the strategy's links from the root.  Yields (prefix,
-    probability, node measure) at every internal node on a supported path
-    and (path, probability, None) at every supported leaf.
-    Zero-probability branches (the negative side of a pair whose positive
-    move is 0) are not entered.
-    """
-    members, n_neg = game.moves.members, game.moves.n_negative
-    links = result.strategy.links
-    # stack entries: (path, node of round len(path), probability)
-    stack: list[tuple[tuple, int, Fraction]] = [((), 0, Fraction(1))]
-    while stack:
-        path, i, prob = stack.pop()
-        n = len(path)
-        if n == game.rounds:
-            yield path, prob, None
-            continue
-        node = result.pairs[result.measure[n][i]]
-        yield path, prob, node
-        neg, pos = node.pair
-        for m, weight in ((n_neg - 1 - neg, node.prob_neg), (n_neg + pos, node.prob_pos)):
-            if weight > 0:
-                stack.append((path + (members[m],), links[n][m, i], prob * weight))
 

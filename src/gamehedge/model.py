@@ -281,21 +281,28 @@ def is_path_dependent(payoff: Payoff) -> bool:
 
 
 def evaluate_payoff(payoff: Payoff, s: float) -> float:
-    """Evaluate a European payoff at the (already scaled) terminal sum."""
+    """Evaluate a European payoff at the (already scaled) terminal sum to a finite value."""
     if isinstance(payoff, PathDependent):
         raise ValueError("path-dependent payoff needs the full path, not a terminal sum")
-    return payoff(s)
+    value = payoff(s)
+    if not math.isfinite(value):
+        raise ValueError(f"payoff value {value!r} at s = {s!r} is not finite")
+    return value
 
 
 def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
-    """Evaluate any payoff on an exact path (tuple of rationals).
+    """Evaluate any payoff on an exact path (tuple of rationals) to a finite value.
 
     A European payoff is evaluated at scale * float(exact sum), the
     convention of every pricing route, so that route-agreement comparisons
     are not polluted by differing rounding of the argument.
     """
     if isinstance(payoff, PathDependent):
-        return payoff.evaluator(tuple(scale * float(x) for x in path))
+        scaled = tuple(scale * float(x) for x in path)
+        value = payoff.evaluator(scaled)
+        if not math.isfinite(value):
+            raise ValueError(f"payoff value {value!r} at the path {scaled!r} is not finite")
+        return value
     return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
 
 

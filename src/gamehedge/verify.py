@@ -68,9 +68,6 @@ class FuzzSummary:
 
 _BLOCK = 1 << 16  # leaves replayed per numpy block
 _REPLAY_BUDGET = 10**7  # paths one replay may visit: about 3 s at the limit
-# supported paths one audit may walk: about 40 us each in Fractions, so
-# roughly 10 s at the limit
-_AUDIT_BUDGET = 1 << 18
 # how far the audited measure's expected payoff may lie from the price
 _AUDIT_TOL = 1e-10
 # how far below zero a replayed slack may lie
@@ -174,47 +171,73 @@ def check_replication(
 
 
 def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> MeasureAudit:
-    """Walk the extremal measure and verify it in exact arithmetic.
+    """Audit the extremal measure in one forward pass over the nodes.
 
-    Checks per node: probabilities nonnegative, summing to one exactly,
-    with exactly zero mean (hence zero conditional expected capital
-    increment).  Checks overall: path probabilities sum to one exactly and
-    the measure's expected payoff reproduces the price within _AUDIT_TOL.
-    Raises BudgetError once the walk passes _AUDIT_BUDGET supported paths.
+    Each row of ``result.pairs`` is checked once, exactly: probabilities
+    nonnegative, summing to one, with zero mean.  Mass 1 then flows from the
+    root along the positive-weight moves of each node's pair, through the
+    strategy's links; each node's exact state (its sum on the moves' common
+    denominator, or its base-k move prefix for a path-dependent payoff) is
+    derived from those moves, not read from the induction.  The audit fails
+    when two supported links give one node different states, or when mass
+    times f over the supported leaves misses the price by more than
+    _AUDIT_TOL.  Raises ValueError for a pair row or link out of range.
     """
-    moves, scale = game.moves, game.payoff_scale
-    nodes_checked = 0
-    total = Fraction(0)
-    expectation_terms: list[float] = []
-    ok = True
+    moves, rounds, scale, pairs = game.moves, game.rounds, game.payoff_scale, result.pairs
+    members, k, n_neg = moves.members, moves.size, moves.n_negative
+    sums = [node.prob_neg + node.prob_pos for node in pairs]
+    ok = all(node.prob_neg >= 0 and node.prob_pos >= 0 and total == 1
+             and a_neg * node.prob_neg + a_pos * node.prob_pos == 0
+             for node, total in zip(pairs, sums) for a_neg, a_pos in [moves.pair_moves(*node.pair)])
+    ends = np.array([(n_neg - 1 - i, n_neg + j) for i, j in (node.pair for node in pairs)])
+    weights = np.array([(float(node.prob_neg), float(node.prob_pos)) for node in pairs])
+    follow = np.array([(node.prob_neg > 0, node.prob_pos > 0) for node in pairs])
 
-    for path, prob, node in induction.measure_walk(result, game):
-        if node is None:
-            if len(expectation_terms) == _AUDIT_BUDGET:
-                raise BudgetError(f"supported paths exceed the budget of {_AUDIT_BUDGET}")
-            total += prob
-            expectation_terms.append(float(prob) * payoff_value_on_path(payoff, scale, path))
-            continue
-        a_neg, a_pos = moves.pair_moves(*node.pair)
-        nodes_checked += 1
-        if node.prob_neg < 0 or node.prob_pos < 0:
-            ok = False
-        if node.prob_neg + node.prob_pos != 1:
-            ok = False
-        if a_neg * node.prob_neg + a_pos * node.prob_pos != 0:
-            ok = False
+    # a child's state is its parent's times mult plus its move's step
+    if isinstance(payoff, PathDependent):
+        mult, steps = k, list(range(k))
+    else:
+        denom = math.lcm(*(a.denominator for a in members))
+        mult, steps = 1, [a.numerator * (denom // a.denominator) for a in members]
+    wide = max(map(abs, steps)) * mult**rounds * rounds >= 2**63
+    steps = np.array(steps, dtype=object if wide else np.int64)
 
-    expectation = math.fsum(expectation_terms)
-    if total != 1:
-        ok = False
-    if not abs(expectation - result.price) <= _AUDIT_TOL:
-        ok = False
+    # mass and state cover every node of a round; the leaves number len(node_values[-1])
+    widths = [len(m) for m in result.measure[1:]] + [len(result.node_values[-1])]
+    node, mass, state = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=steps.dtype)
+    used, nodes_checked = np.zeros(len(pairs), dtype=bool), 0
+    for n, width in enumerate(widths):
+        row = result.measure[n][node]
+        if ((row < 0) | (row >= len(pairs))).any():
+            raise ValueError(f"measure of round {n} names a pair row out of range")
+        used[row] = True
+        nodes_checked += len(node)
+        at, end = np.nonzero(follow[row])
+        move, parent = ends[row[at], end], node[at]
+        kid = result.strategy.links[n][move, parent]
+        if ((kid < 0) | (kid >= width)).any():
+            raise ValueError(f"links of round {n} leave the nodes of round {n + 1}")
+        kid_state = state[parent] * mult + steps[move]
+        state = np.empty(width, dtype=steps.dtype)
+        state[kid] = kid_state
+        ok = ok and bool((state[kid] == kid_state).all())
+        mass = np.bincount(kid, mass[parent] * weights[row[at], end], width)
+        node = np.flatnonzero(np.bincount(kid, minlength=width))
+
+    if isinstance(payoff, PathDependent):
+        values = [payoff_value_on_path(payoff, scale, tuple(
+            members[code // k ** (rounds - 1 - i) % k] for i in range(rounds)))
+            for code in state[node].tolist()]
+    else:
+        values = [evaluate_payoff(payoff, scale * (s / denom)) for s in state[node].tolist()]
+    expectation = math.fsum(m * f for m, f in zip(mass[node].tolist(), values))
+    total = next((sums[p] for p in np.flatnonzero(used) if sums[p] != 1), Fraction(1))
     return MeasureAudit(
         total_probability=total,
         expectation=expectation,
         price=result.price,
         nodes_checked=nodes_checked,
-        passed=ok,
+        passed=ok and abs(expectation - result.price) <= _AUDIT_TOL,
     )
 
 
@@ -310,7 +333,7 @@ def fuzz_cross_routes(
     """Cross-check all pricing routes on ``trials`` random games of 2 to
     ``max_moves`` moves and 1 to ``max_rounds`` rounds.  Raises ValueError,
     before any trial, for limits whose largest game passes a budget of a
-    check: the dual enumeration's, the LP's, the replay's or the audit's."""
+    check: the dual enumeration's, the LP's or the replay's."""
     for name, value, least in (("trials", trials, 0), ("max_moves", max_moves, 2),
                                ("max_rounds", max_rounds, 1)):
         if value < least:
@@ -319,7 +342,7 @@ def fuzz_cross_routes(
     # check.  With k >= 2 moves (and, for the dual, >= 2 pairs), a game of
     # as many rounds, or internal nodes, as the largest budget has bits
     # passes every budget, so no count is built past that.
-    bits = max(lp._DUAL_BUDGET, lp._MAX_ENTRIES, _REPLAY_BUDGET, _AUDIT_BUDGET).bit_length()
+    bits = max(lp._DUAL_BUDGET, lp._MAX_ENTRIES, _REPLAY_BUDGET).bit_length()
     rounds = min(max_rounds, bits)
     leaves = max_moves**rounds
     internal = (leaves - 1) // (max_moves - 1)
@@ -328,7 +351,6 @@ def fuzz_cross_routes(
         (pairs ** min(internal, bits), lp._DUAL_BUDGET, "dual enumeration", "pair assignments"),
         (lp._tableau_cells(leaves, 1 + internal), lp._MAX_ENTRIES, "LP", "entries"),
         (leaves, _REPLAY_BUDGET, "replay", "paths"),
-        (2**rounds, _AUDIT_BUDGET, "measure audit", "supported paths"),
     ):
         if count > budget:
             raise ValueError(f"max_moves={max_moves} and max_rounds={max_rounds} allow games whose "

@@ -2,11 +2,18 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Iterator
 
 import pytest
 
-from gamehedge import Butterfly, GameSpec, MoveSpace, PiecewiseLinear, PriceResult
-from gamehedge.induction import measure_walk
+from gamehedge import (
+    Butterfly,
+    GameSpec,
+    MoveSpace,
+    PiecewiseLinear,
+    PriceResult,
+    RiskNeutralNode,
+)
 
 
 @pytest.fixture
@@ -17,6 +24,36 @@ def trinomial() -> MoveSpace:
 @pytest.fixture
 def butterfly() -> Butterfly:
     return Butterfly(-0.5, 0.5, 1.5)
+
+
+def measure_walk(
+    result: PriceResult, game: GameSpec
+) -> Iterator[tuple[tuple, Fraction, RiskNeutralNode | None]]:
+    """Depth-first walk over the supported paths of the extremal measure:
+    the path oracle of the node pass in ``verify.audit_measure``.
+
+    Follows the strategy's links from the root.  Yields (prefix,
+    probability, node measure) at every internal node on a supported path
+    and (path, probability, None) at every supported leaf.
+    Zero-probability branches (the negative side of a pair whose positive
+    move is 0) are not entered.
+    """
+    members, n_neg = game.moves.members, game.moves.n_negative
+    links = result.strategy.links
+    # stack entries: (path, node of round len(path), probability)
+    stack: list[tuple[tuple, int, Fraction]] = [((), 0, Fraction(1))]
+    while stack:
+        path, i, prob = stack.pop()
+        n = len(path)
+        if n == game.rounds:
+            yield path, prob, None
+            continue
+        node = result.pairs[result.measure[n][i]]
+        yield path, prob, node
+        neg, pos = node.pair
+        for m, weight in ((n_neg - 1 - neg, node.prob_neg), (n_neg + pos, node.prob_pos)):
+            if weight > 0:
+                stack.append((path + (members[m],), links[n][m, i], prob * weight))
 
 
 def extract_measure(result: PriceResult, game: GameSpec) -> dict[tuple, Fraction]:

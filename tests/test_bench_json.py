@@ -13,12 +13,15 @@ spec.loader.exec_module(bench_json)
 
 
 def write_record(checkout: Path, workload: str, seed: int, jobs_per_s: float,
-                 src_sha256: str = "aa", commit: str | None = "c0ffee") -> None:
+                 src_sha256: str = "aa", commit: str | None = "c0ffee",
+                 probe_s: float = 0.01) -> None:
     results = checkout / ".perfbench" / "results"
     results.mkdir(parents=True, exist_ok=True)
     record = {
         "workload": workload, "seed": seed, "seconds": 30, "trace": 0,
         "environment": {"commit": commit, "src_sha256": src_sha256},
+        "details": {"probe_s_median": probe_s, "samples": 10 * seed, "cycles": seed,
+                    "failed_ratio": 0.0},
         "result": {"metrics": {
             "jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
             "ok_ratio": {"value": 1.0, "unit": "ratio"},
@@ -52,6 +55,19 @@ def test_medians_ratio_and_sources(tmp_path):
     assert jobs["change_over_parent"] == 1.5
     # a zero parent median gives no ratio
     assert "change_over_parent" not in lattice["metrics"]["errors"]
+
+
+def test_probe_and_run_length_per_seed_and_side(tmp_path):
+    for seed, before, after in ((2, 0.011, 0.012), (1, 0.012, 0.013)):
+        write_record(tmp_path / "parent", "certify", seed, 20.0, probe_s=before)
+        write_record(tmp_path / "change", "certify", seed, 21.0, probe_s=after)
+    details = run(tmp_path)["workloads"]["certify"]["details"]
+    # in seed order, and only the three details named
+    assert details == {
+        "probe_s_median": {"parent_runs": [0.012, 0.011], "change_runs": [0.013, 0.012]},
+        "samples": {"parent_runs": [10, 20], "change_runs": [10, 20]},
+        "cycles": {"parent_runs": [1, 2], "change_runs": [1, 2]},
+    }
 
 
 def test_two_sources_on_one_side_are_refused(tmp_path):

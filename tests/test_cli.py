@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -456,6 +457,14 @@ def test_sweep_quad_budget_is_checked_before_any_pricing(capsys, monkeypatch):
         3, "", "error: 2 a4 values at 2 N need 4 pricings, past the budget of 3\n")
 
 
+@pytest.mark.parametrize("n_max", ["1000000000000", "100000000000000000000"])
+def test_sweep_quad_counts_n_max_without_building_the_list(capsys, n_max):
+    # 1..n_max is counted, never listed, so this is refused at once
+    assert run_cli(capsys, "sweep-quad", "--n-max", n_max) == (
+        3, "", f"error: 50 a4 values at {n_max} N need {50 * int(n_max)} pricings, "
+               "past the budget of 100000\n")
+
+
 def test_sweep_quad_rejects_bad_range(capsys):
     code, _, err = run_cli(
         capsys, "sweep-quad", "--a4-min", "2", "--a4-max", "1", "--a4-step", "1/2"
@@ -578,15 +587,6 @@ def test_lp_dump_bytes_are_pinned(capsys, tmp_path, moves, rounds, payoff):
     assert code == 0
     assert " -0.0 " in target.read_text()
     assert hashlib.sha256(target.read_bytes()).hexdigest() == LP_DUMP_SHA256[moves, rounds, payoff]
-
-
-def test_audit_budget_exit(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "_AUDIT_BUDGET", 1)
-    code, out, err = run_cli(
-        capsys, "verify", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY,
-    )
-    assert code == 3
-    assert out == "" and err == "error: supported paths exceed the budget of 1\n"
 
 
 @pytest.mark.parametrize("extra, budget, err", [
@@ -786,6 +786,18 @@ def test_malformed_payoff_json_is_exit_two(capsys, payoff):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["price", "verify", "lp", "bounds"])
+def test_non_finite_payoff_values_are_exit_two(capsys, tmp_path, command):
+    # call(0) at the leaf sum 6 times 1e308 is inf
+    export = ["--export-result", str(tmp_path / "result.json")] if command == "price" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(capsys, command, "--moves=-1,1,2", "--rounds", "3", "--scale", "1e308",
+                       "--payoff", "call(0)", *export) == (
+            2, "", "error: payoff value inf at s = inf is not finite\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_nan_payoff_is_exit_two(capsys):

@@ -16,12 +16,14 @@ from gamehedge import (
     PiecewiseLinear,
     Put,
     RiskNeutralNode,
+    Side,
     Sine,
     evaluate_payoff,
     negate_payoff,
     parse_rational,
     payoff_from_json,
     payoff_to_json,
+    price_path_dependent,
     variances,
 )
 from gamehedge.model import payoff_hinges, payoff_value_on_path, piecewise_from_hinges
@@ -153,6 +155,18 @@ def test_path_dependent_needs_path():
     pd = PathDependent(lambda p: sum(p))
     with pytest.raises(ValueError):
         evaluate_payoff(pd, 1.0)
+
+
+def test_non_finite_payoff_values_are_refused(trinomial):
+    with pytest.raises(ValueError, match=r"^payoff value inf at s = 1e\+308 is not finite$"):
+        evaluate_payoff(PiecewiseLinear(((0.0, 0.0),), 0.0, 10.0), 1e308)
+    nan_on_drops = PathDependent(lambda p: math.nan if min(p) < 0 else max(p))
+    assert payoff_value_on_path(nan_on_drops, 1.0, (F(1), F(2))) == 2.0
+    with pytest.raises(ValueError, match=r"^payoff value nan at the path \(1\.0, -1\.0\) "
+                                         "is not finite$"):
+        payoff_value_on_path(nan_on_drops, 1.0, (F(1), F(-1)))
+    with pytest.raises(ValueError, match="payoff value nan at the path"):
+        price_path_dependent(GameSpec(trinomial, 2), nan_on_drops, Side.UPPER)
 
 
 def test_payoff_value_convention():
