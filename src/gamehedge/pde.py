@@ -56,6 +56,8 @@ class GridSpec:
             (self.horizon, self.dt, "dt"),
         ):
             cells = span / step
+            if not np.isfinite(cells):
+                raise ValueError(f"{what} leaves {cells} cells on its interval")
             if abs(cells - round(cells)) > 1e-9 * max(1.0, cells):
                 raise ValueError(f"{what} must divide its interval evenly")
 

@@ -1,10 +1,11 @@
-"""Independent checks: superreplication by brute force, exact measure
-audits, and a seeded fuzz harness that cross-checks every pricing route.
+"""Independent checks: superreplication replays, exact measure audits, and
+a seeded fuzz harness that cross-checks every pricing route.
 
 Nothing here reuses the induction shortcut being checked: the
-superreplication checker replays the strategy on every path, the measure
-audit recomputes conditional moments in exact arithmetic, and the fuzz
-harness compares induction, LP, brute-force dual enumeration, binomial
+superreplication checker replays the strategy on every path at once,
+keeping at each node the least capital of the paths that reach it; the
+measure audit recomputes conditional moments in exact arithmetic; and the
+fuzz harness compares induction, LP, brute-force dual enumeration, binomial
 bounds and the structural inequalities on random games.
 """
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import induction, lp
 from .model import (
-    BudgetError,
     GameSpec,
     MoveSpace,
     PathDependent,
@@ -30,7 +30,6 @@ from .model import (
     Strategy,
     evaluate_payoff,
     negate_payoff,
-    payoff_value_on_path,
 )
 
 
@@ -66,8 +65,6 @@ class FuzzSummary:
         return not self.failures
 
 
-_BLOCK = 1 << 16  # leaves replayed per numpy block
-_REPLAY_BUDGET = 10**7  # paths one replay may visit: about 3 s at the limit
 # how far the audited measure's expected payoff may lie from the price
 _AUDIT_TOL = 1e-10
 # how far below zero a replayed slack may lie
@@ -88,6 +85,38 @@ def _check_links(strategy: Strategy, game: GameSpec) -> None:
             raise ValueError(f"links of round {n} do not fit its nodes and those of round {n + 1}")
 
 
+def _exact_states(game: GameSpec, payoff: Payoff) -> tuple[int, int, np.ndarray]:
+    """(denom, mult, steps): a child's exact state is its parent's times mult
+    plus steps[move], from 0 at the root.  It is the node's sum on the moves'
+    common denominator denom, or its base-k move prefix for a path-dependent
+    payoff; steps are Python ints where int64 could wrap."""
+    members, rounds = game.moves.members, game.rounds
+    denom = math.lcm(*(a.denominator for a in members))
+    if isinstance(payoff, PathDependent):
+        mult, steps = len(members), list(range(len(members)))
+    else:
+        mult, steps = 1, [a.numerator * (denom // a.denominator) for a in members]
+    wide = max(map(abs, steps)) * mult**rounds * rounds >= 2**63
+    return denom, mult, np.array(steps, dtype=object if wide else np.int64)
+
+
+def _leaf_payoffs(game: GameSpec, payoff: Payoff, denom: int, states: np.ndarray) -> np.ndarray:
+    """f at the leaves of these exact states; ValueError where it is not finite."""
+    scale = game.payoff_scale
+    if not isinstance(payoff, PathDependent):
+        return np.array([evaluate_payoff(payoff, scale * (s / denom)) for s in states.tolist()])
+    k, rounds = game.moves.size, game.rounds
+    powers = np.array([k**e for e in range(rounds - 1, -1, -1)], dtype=states.dtype)
+    digits = (states[:, None] // powers % k).astype(np.intp)
+    paths = (scale * np.array([float(a) for a in game.moves.members]))[digits].tolist()
+    values = np.array([payoff.evaluator(tuple(p)) for p in paths], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"payoff value {float(values[bad[0]])!r} at the path "
+                         f"{tuple(paths[bad[0]])!r} is not finite")
+    return values
+
+
 def check_superreplication(
     game: GameSpec,
     payoff: Payoff,
@@ -97,55 +126,56 @@ def check_superreplication(
     """Replay a strategy on every path and report the worst slack.
 
     The slack on a path is alpha + sum_n M_n * x_n - f(path); the strategy
-    superreplicates from alpha iff the minimum slack is >= -_REPLAY_TOL.  The
-    replay follows the strategy's links from the root, so it needs a link
-    for every move: pruned strategies, which link only the extremal pair,
-    are refused because a pruned value is only a lower bound on the upper
-    price, not a superhedging level.
+    superreplicates from alpha iff the minimum slack is >= -_REPLAY_TOL.
+    The replay needs a link for every move, so pruned strategies (a lower
+    bound on the upper price, not a superhedging level) are refused.
 
-    Leaf l moves by its base-k digit n (most significant first) at round n,
-    so leaves run in lexicographic path order.  They are replayed in numpy
-    blocks with the float operations of a path-by-path walk and an exact
-    terminal sum.  On equal slacks the lexicographically last path is
-    reported; a NaN slack counts as the minimum, so it fails.  Raises
-    BudgetError past _REPLAY_BUDGET paths.
+    One forward pass keeps at each node the least capital of the paths that
+    reach it, with a path walk's float operations; rounded addition is
+    monotone, so the minimum slack is the path replay's, bit for bit.  A NaN
+    counts as the least, so it fails.  f is read only from the leaves' exact
+    states, derived from the moves taken: links that bring two states to
+    one node raise ValueError.  The worst path ends at the last leaf of
+    least slack and walks back through least-capital (move, parent) pairs,
+    on ties the later move, then the later parent.
     """
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
-    k, members = moves.size, moves.members
-    leaves = k**rounds
-    if leaves > _REPLAY_BUDGET:
-        raise BudgetError(f"{leaves} paths exceed the budget of {_REPLAY_BUDGET}")
     _check_links(strategy, game)
-    move_floats = np.array([float(a) for a in members])
-    denom = math.lcm(*(a.denominator for a in members))
-    exact = np.int64 if max(map(abs, members)) * denom * rounds < 2**63 else object  # no wrap
-    numerators = np.array([int(a * denom) for a in members], dtype=exact)
+    members, rounds = game.moves.members, game.rounds
+    move_floats = np.array([float(a) for a in members])[:, None]
+    denom, mult, steps = _exact_states(game, payoff)
 
-    worst = []  # (slack, path) of each block's last minimum
-    for start in range(0, leaves, _BLOCK):
-        leaf = np.arange(start, min(start + _BLOCK, leaves))
-        node, capital, total, digits = 0, 0.0, 0, []
-        for n in range(rounds):
-            d = leaf // k ** (rounds - 1 - n) % k
-            capital = capital + strategy.positions[n][node] * move_floats[d]
-            node = strategy.links[n][d, node]
-            total = total + numerators[d]
-            digits.append(d)
-        if isinstance(payoff, PathDependent):
-            paths = (scale * move_floats)[np.stack(digits, axis=1)].tolist()
-            values = np.array([payoff.evaluator(tuple(p)) for p in paths], dtype=np.float64)
-        else:
-            sums, inverse = np.unique(total, return_inverse=True)
-            values = np.array([evaluate_payoff(payoff, scale * (int(s) / denom))
-                               for s in sums], dtype=np.float64)[inverse]
-        slack = alpha + capital - values
-        last = -1 - int(np.argmin(slack[::-1]))
-        worst.append((float(slack[last]), tuple(members[d[last]] for d in digits)))
-    min_slack, path = worst[-1 - int(np.argmin([s for s, _ in worst][::-1]))]
+    # each round's least-capital (move, parent) into every node of the next,
+    # coded move * width + parent, so that the largest code wins a tie
+    node, cap, state, best = np.zeros(1, dtype=np.intp), np.zeros(1), np.zeros(1, steps.dtype), []
+    for n, width in enumerate(len(p) for p in strategy.positions):
+        kid = strategy.links[n][:, node]
+        kid_state = state[node] * mult + steps[:, None]
+        value = cap[node] + strategy.positions[n][node] * move_floats
+        state = np.empty(int(kid.max()) + 1, dtype=steps.dtype)
+        state[kid] = kid_state
+        if (state[kid] != kid_state).any():
+            raise ValueError(f"links of round {n} bring two different states to one node")
+        cap = np.full(len(state), np.inf)
+        with np.errstate(invalid="ignore"):  # np.minimum keeps a NaN
+            np.minimum.at(cap, kid.ravel(), value.ravel())
+        least = (value == cap[kid]) | np.isnan(value)  # a NaN value leaves a NaN cap
+        code = np.arange(len(members))[:, None] * width + node
+        choice = np.zeros(len(cap), dtype=np.intp)
+        np.maximum.at(choice, kid[least], code[least])
+        best.append((choice, width))
+        node = np.flatnonzero(np.bincount(kid.ravel(), minlength=len(cap)))
+
+    slack = alpha + cap[node] - _leaf_payoffs(game, payoff, denom, state[node])
+    last = len(slack) - 1 - int(np.argmin(slack[::-1]))
+    path, at = [], node[last]
+    for choice, width in reversed(best):
+        move, at = divmod(int(choice[at]), width)
+        path.append(members[move])
+    min_slack = float(slack[last])
     return VerificationReport(
         min_slack=min_slack,
-        worst_path=path,
-        paths_checked=leaves,
+        worst_path=tuple(reversed(path)),
+        paths_checked=game.moves.size**rounds,
         passed=min_slack >= -_REPLAY_TOL,
     )
 
@@ -183,8 +213,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> Measur
     times f over the supported leaves misses the price by more than
     _AUDIT_TOL.  Raises ValueError for a pair row or link out of range.
     """
-    moves, rounds, scale, pairs = game.moves, game.rounds, game.payoff_scale, result.pairs
-    members, k, n_neg = moves.members, moves.size, moves.n_negative
+    moves, pairs, n_neg = game.moves, result.pairs, game.moves.n_negative
     sums = [node.prob_neg + node.prob_pos for node in pairs]
     ok = all(node.prob_neg >= 0 and node.prob_pos >= 0 and total == 1
              and a_neg * node.prob_neg + a_pos * node.prob_pos == 0
@@ -193,15 +222,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> Measur
     weights = np.array([(float(node.prob_neg), float(node.prob_pos)) for node in pairs])
     follow = np.array([(node.prob_neg > 0, node.prob_pos > 0) for node in pairs])
 
-    # a child's state is its parent's times mult plus its move's step
-    if isinstance(payoff, PathDependent):
-        mult, steps = k, list(range(k))
-    else:
-        denom = math.lcm(*(a.denominator for a in members))
-        mult, steps = 1, [a.numerator * (denom // a.denominator) for a in members]
-    wide = max(map(abs, steps)) * mult**rounds * rounds >= 2**63
-    steps = np.array(steps, dtype=object if wide else np.int64)
-
+    denom, mult, steps = _exact_states(game, payoff)
     # mass and state cover every node of a round; the leaves number len(node_values[-1])
     widths = [len(m) for m in result.measure[1:]] + [len(result.node_values[-1])]
     node, mass, state = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=steps.dtype)
@@ -224,12 +245,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> Measur
         mass = np.bincount(kid, mass[parent] * weights[row[at], end], width)
         node = np.flatnonzero(np.bincount(kid, minlength=width))
 
-    if isinstance(payoff, PathDependent):
-        values = [payoff_value_on_path(payoff, scale, tuple(
-            members[code // k ** (rounds - 1 - i) % k] for i in range(rounds)))
-            for code in state[node].tolist()]
-    else:
-        values = [evaluate_payoff(payoff, scale * (s / denom)) for s in state[node].tolist()]
+    values = _leaf_payoffs(game, payoff, denom, state[node]).tolist()
     expectation = math.fsum(m * f for m, f in zip(mass[node].tolist(), values))
     total = next((sums[p] for p in np.flatnonzero(used) if sums[p] != 1), Fraction(1))
     return MeasureAudit(
@@ -333,7 +349,7 @@ def fuzz_cross_routes(
     """Cross-check all pricing routes on ``trials`` random games of 2 to
     ``max_moves`` moves and 1 to ``max_rounds`` rounds.  Raises ValueError,
     before any trial, for limits whose largest game passes a budget of a
-    check: the dual enumeration's, the LP's or the replay's."""
+    check: the dual enumeration's or the LP's."""
     for name, value, least in (("trials", trials, 0), ("max_moves", max_moves, 2),
                                ("max_rounds", max_rounds, 1)):
         if value < least:
@@ -342,7 +358,7 @@ def fuzz_cross_routes(
     # check.  With k >= 2 moves (and, for the dual, >= 2 pairs), a game of
     # as many rounds, or internal nodes, as the largest budget has bits
     # passes every budget, so no count is built past that.
-    bits = max(lp._DUAL_BUDGET, lp._MAX_ENTRIES, _REPLAY_BUDGET).bit_length()
+    bits = max(lp._DUAL_BUDGET, lp._MAX_ENTRIES).bit_length()
     rounds = min(max_rounds, bits)
     leaves = max_moves**rounds
     internal = (leaves - 1) // (max_moves - 1)
@@ -350,7 +366,6 @@ def fuzz_cross_routes(
     for count, budget, what, unit in (
         (pairs ** min(internal, bits), lp._DUAL_BUDGET, "dual enumeration", "pair assignments"),
         (lp._tableau_cells(leaves, 1 + internal), lp._MAX_ENTRIES, "LP", "entries"),
-        (leaves, _REPLAY_BUDGET, "replay", "paths"),
     ):
         if count > budget:
             raise ValueError(f"max_moves={max_moves} and max_rounds={max_rounds} allow games whose "

@@ -269,6 +269,16 @@ def test_pde_grid_budget_exit_writes_no_dump(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("grid, what", [
+    (("--horizon", "1e308", "--dt", "1e-10"), "dt"),
+    (("--s-range=-1e308,1e308", "--ds", "1e307"), "ds"),
+    (("--s-range=-1e308,1e308", "--ds", "1e300"), "ds"),  # the span itself overflows
+])
+def test_pde_grids_of_overflowing_cell_counts_exit_two(capsys, grid, what):
+    assert run_cli(capsys, "pde", "--sigma2", "1,2", "--payoff", "call(0)", *grid) == (
+        2, "", f"error: {what} leaves inf cells on its interval\n")
+
+
 # sha256 of the CSV written by the original whole-field solver, pinned
 # before --dump-field streamed its rows
 DUMP_SHA256 = {
@@ -828,12 +838,17 @@ def test_output_is_deterministic(capsys):
 
 
 def test_console_script():
+    # without an installed console script, run the module's own entry point
     exe = shutil.which("gamehedge")
-    if exe is None:
-        pytest.skip("console script not on PATH")
+    command = [exe] if exe else [sys.executable, "-m", "gamehedge.cli"]
+    env = dict(os.environ, PYTHONPATH=str(Path(gamehedge.__file__).parent.parent))
     proc = subprocess.run(
-        [exe, "price", "--moves=-1,1,2", "--rounds", "1", "--payoff", BUTTERFLY],
-        capture_output=True, text=True, timeout=60,
+        [*command, "price", "--moves=-1,1,2", "--rounds", "1", "--payoff", BUTTERFLY],
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["price"] == pytest.approx(0.25, abs=1e-12)
+    proc = subprocess.run([*command, "price", "--moves=-1,1,2", "--rounds", "0",
+                           "--payoff", BUTTERFLY], capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert (proc.returncode, proc.stdout) == (2, "")

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gamehedge import (
-    BudgetError,
     Butterfly,
     GameSpec,
     MoveSpace,
@@ -85,16 +84,6 @@ def test_path_strategy_replays(trinomial):
     report = check_superreplication(game, payoff, result.price, result.strategy)
     assert report.passed
     assert -1e-9 <= report.min_slack <= 1e-9
-
-
-def test_replay_budget(monkeypatch, trinomial, butterfly):
-    game = GameSpec(trinomial, 3, 1.0)
-    result = price_european(game, butterfly, Side.UPPER)
-    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 27)
-    assert check_superreplication(game, butterfly, result.price, result.strategy).passed
-    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 10)
-    with pytest.raises(BudgetError, match="27 paths exceed the budget of 10"):
-        check_superreplication(game, butterfly, result.price, result.strategy)
 
 
 def test_replay_tolerance_is_the_module_constant(monkeypatch, trinomial, butterfly):
@@ -456,8 +445,7 @@ def test_fuzz_refuses_limits_past_the_dual_budget(monkeypatch, max_moves, max_ro
     # one pair, so the dual check passes; 2**40 x 2**40 LP entries do not
     (None, None, 2, 40, "LP passes the budget of 20000000 entries"),
     (None, None, 2, 13, "LP passes the budget of 20000000 entries"),
-    ("_REPLAY_BUDGET", 7, 2, 3, "replay passes the budget of 7 paths"),
-    ("_REPLAY_BUDGET", 10**9, 2, 10**9, "LP passes the budget of 20000000 entries"),
+    (None, None, 2, 10**9, "LP passes the budget of 20000000 entries"),
 ])
 def test_fuzz_refuses_limits_past_the_check_budgets(monkeypatch, budget, value, max_moves,
                                                     max_rounds, message):
@@ -470,12 +458,10 @@ def test_fuzz_refuses_limits_past_the_check_budgets(monkeypatch, budget, value, 
         fuzz_cross_routes(seed=0, trials=1, max_moves=max_moves, max_rounds=max_rounds)
 
 
-def test_fuzz_limits_at_the_check_budgets_run(monkeypatch):
+def test_fuzz_limits_at_the_check_budgets_run():
     # the largest (2, 11) game has a 2048 x 2048 LP, whose tableau of 2048 x 4097
     # cells fits the LP budget; only the limits are checked
     fuzz_cross_routes(seed=0, trials=0, max_moves=2, max_rounds=11)
-    # the largest (3, 3) game has 27 paths
-    monkeypatch.setattr(verify, "_REPLAY_BUDGET", 27)
     assert fuzz_cross_routes(seed=0, trials=10, max_moves=3, max_rounds=3).passed
 
 
