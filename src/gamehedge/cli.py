@@ -105,6 +105,13 @@ def _grid_from_args(args) -> pde.GridSpec:
     )
 
 
+def _output_path(text: str) -> str:
+    """An output file option's value; the empty path names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("the output path is empty")
+    return text
+
+
 @contextlib.contextmanager
 def _replacing(path: str):
     """Open ``path`` for writing text.
@@ -141,7 +148,7 @@ def _replacing(path: str):
 
 
 def _emit(args, text: str) -> None:
-    if args.output and args.output != "-":
+    if args.output != "-":
         with _replacing(args.output) as handle:
             handle.write(text)
     else:
@@ -185,7 +192,7 @@ def cmd_price(args) -> int:
         result = induction.price_european(game, payoff, side)
     _timing(args, started)
 
-    if args.export_result:
+    if args.export_result is not None:
         with _replacing(args.export_result) as handle:
             result_to_json(result, handle)
             handle.write("\n")
@@ -241,7 +248,7 @@ def cmd_pde(args) -> int:
         lo, hi = variances(parse_moves(args.moves))
         sig_lo, sig_hi = float(lo), float(hi)
     started = time.perf_counter()
-    if args.dump_field:
+    if args.dump_field is not None:
         solution = _dump_field(args.dump_field, grid, payoff, side, sig_lo, sig_hi)
     else:
         solution = pde.solve(grid, payoff, side, sig_lo, sig_hi)
@@ -385,7 +392,7 @@ def cmd_lp(args) -> int:
     payoff = parse_payoff(args.payoff)
     side = Side(args.side)
     problem = lp.build_problem(game, payoff)
-    if args.dump_lp:
+    if args.dump_lp is not None:
         with _replacing(args.dump_lp) as handle:
             handle.write(lp.dump_dense(problem))
     started = time.perf_counter()
@@ -480,7 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact hedging prices in multinomial games, LP cross-checks, "
         "binomial bounds, and the volatility-band PDE limit.",
     )
-    parser.add_argument("--output", default="-", help="write primary output here instead of stdout")
+    parser.add_argument("--output", default="-", type=_output_path,
+                        help="write primary output here instead of stdout")
     parser.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -490,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="re-select the pair only every Q rounds (upper side)")
     sub.add_argument("--verify", action="store_true",
                      help="replay the strategy on every path and audit the measure")
-    sub.add_argument("--export-result", metavar="FILE",
+    sub.add_argument("--export-result", metavar="FILE", type=_output_path,
                      help="write the full node-level result as JSON")
     sub.set_defaults(func=cmd_price)
 
@@ -500,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--moves", help="take the variance band from this move space")
     sub.add_argument("--sigma2", help="explicit variance band lo,hi (overrides --moves)")
     _add_grid_options(sub)
-    sub.add_argument("--dump-field", metavar="FILE", help="write the whole field as CSV")
+    sub.add_argument("--dump-field", metavar="FILE", type=_output_path,
+                     help="write the whole field as CSV")
     sub.set_defaults(func=cmd_pde)
 
     sub = subs.add_parser("converge", help="scaled-game prices for several N, optionally vs the PDE")
@@ -531,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("lp", help="price via the direct LP formulation")
     _add_game_options(sub)
-    sub.add_argument("--dump-lp", metavar="FILE", help="write the dense LP as text")
+    sub.add_argument("--dump-lp", metavar="FILE", type=_output_path,
+                     help="write the dense LP as text")
     sub.add_argument("--check-dual", action="store_true",
                      help="cross-check against brute-force dual enumeration")
     sub.set_defaults(func=cmd_lp)

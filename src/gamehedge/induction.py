@@ -10,8 +10,9 @@ Every route holds one round as arrays and hands each backward step to the
 ``singlestep`` kernel; what differs between routes is only how it numbers
 the nodes of a round and so links a node to its children.  All exact sums
 are tracked as integers on a common-denominator rescaling of the moves
-(one-step weights do not change under a positive rescaling), and are
-converted back to Fractions only in the node names used for export.
+(one-step weights do not change under a positive rescaling); the lattice
+renders its export keys from those integers, and converts them back to
+Fractions only in its node names.
 """
 from __future__ import annotations
 
@@ -30,8 +31,9 @@ from .model import (
     PriceResult,
     Side,
     Strategy,
-    evaluate_payoff,
+    _key_string,
     is_path_dependent,
+    leaf_payoffs,
     path_payoff_vector,
 )
 from .singlestep import PairTable, best_pair, replicating_step
@@ -49,10 +51,11 @@ class PruneSchedule:
 
 
 def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, names,
-            key_kind: str, prune_period: int | None = None) -> PriceResult:
+            key_kind: str, prune_period: int | None = None, keys=None) -> PriceResult:
     """The PriceResult of the (values, pair rows, positions, links) ``steps``
     of each round, collected from the last round back; its price is the
-    value of the root, node 0 of round 0."""
+    value of the root, node 0 of round 0.  Its export keys are ``keys``, or
+    else the rendered ``names``."""
     values, rows, positions, links = zip(*reversed(steps))
     return PriceResult(
         price=float(values[0][0]),
@@ -62,6 +65,7 @@ def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, nam
         node_values=values + (terminal,),
         pairs=pairs.nodes,
         names=names,
+        keys=keys or (lambda n: [_key_string(key, key_kind) for key in names(n)]),
         key_kind=key_kind,
         prune_period=prune_period,
     )
@@ -129,10 +133,6 @@ def _forward_lattice(moves: MoveSpace, rounds: int):
     return denom, levels, links
 
 
-def _terminal_values(payoff: Payoff, scale: float, sums: list[int], denom: int) -> np.ndarray:
-    return np.array([evaluate_payoff(payoff, scale * (s / denom)) for s in sums])
-
-
 def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     """Exact hedging price of a European payoff on the collapsed lattice.
 
@@ -141,17 +141,25 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     """
     if is_path_dependent(payoff):
         raise ValueError("use price_path_dependent for path-dependent payoffs")
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
+    moves, rounds = game.moves, game.rounds
     pairs = PairTable.of(moves)
     denom, levels, links = _forward_lattice(moves, rounds)
 
-    terminal = values = _terminal_values(payoff, scale, levels[rounds].tolist(), denom)
+    terminal = values = leaf_payoffs(game, payoff, levels[rounds])
     steps = []
     for n in range(rounds - 1, -1, -1):
         values, rows, positions = replicating_step(values[links[n]], pairs, side)
         steps.append((values, rows, positions, links[n]))
+
+    def keys(n: int) -> list[str]:
+        """``n|sum`` with the sum in lowest terms, as str(Fraction) writes it."""
+        common = np.gcd(levels[n], denom)
+        nums, dens = (levels[n] // common).tolist(), (denom // common).tolist()
+        return [f"{n}|{a}/{b}" if b > 1 else f"{n}|{a}" for a, b in zip(nums, dens)]
+
     return _result(side, pairs, terminal, steps,
-                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice")
+                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice",
+                   keys=keys)
 
 
 def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
@@ -198,7 +206,7 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
+    moves, rounds = game.moves, game.rounds
     q = schedule.period
     pairs = PairTable.of(moves)
     every_pair = np.arange(len(pairs.nodes))[:, None]
@@ -228,7 +236,7 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
         _keep(kept, n + 1)
 
     leaves = levels[rounds][reach[rounds][0]]
-    terminal = values = _terminal_values(payoff, scale, leaves.tolist(), denom)
+    terminal = values = leaf_payoffs(game, payoff, leaves)
     steps = []
     for n in range(rounds - 1, -1, -1):
         number = (np.cumsum(reach[n + 1]) - 1).reshape(reach[n + 1].shape)

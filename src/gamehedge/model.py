@@ -290,27 +290,56 @@ def evaluate_payoff(payoff: Payoff, s: float) -> float:
     return value
 
 
-def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
-    """Evaluate any payoff on an exact path (tuple of rationals) to a finite value.
-
-    A European payoff is evaluated at scale * float(exact sum), the
-    convention of every pricing route, so that route-agreement comparisons
-    are not polluted by differing rounding of the argument.
-    """
+def state_steps(game: GameSpec, payoff: Payoff) -> tuple[int, np.ndarray]:
+    """(mult, steps): a node's exact state is its parent's times mult plus
+    steps[move], from 0 at the root.  It is the node's sum on the moves'
+    common denominator, or its base-k move prefix for a path-dependent
+    payoff; steps are Python ints where int64 could wrap."""
+    members, rounds = game.moves.members, game.rounds
     if isinstance(payoff, PathDependent):
-        scaled = tuple(scale * float(x) for x in path)
-        value = payoff.evaluator(scaled)
-        if not math.isfinite(value):
-            raise ValueError(f"payoff value {value!r} at the path {scaled!r} is not finite")
-        return value
-    return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
+        mult, steps = len(members), list(range(len(members)))
+    else:
+        denom = math.lcm(*(a.denominator for a in members))
+        mult, steps = 1, [a.numerator * (denom // a.denominator) for a in members]
+    wide = max(map(abs, steps)) * mult**rounds * rounds >= 2**63
+    return mult, np.array(steps, dtype=object if wide else np.int64)
+
+
+def leaf_payoffs(game: GameSpec, payoff: Payoff, states: np.ndarray) -> np.ndarray:
+    """f at leaves of these exact states (see state_steps); ValueError where
+    it is not finite.  A European payoff is evaluated at scale * (sum /
+    denom), the correctly rounded float of the exact sum, a path-dependent
+    one at the path of scale * float(move) per round."""
+    scale, members, rounds = game.payoff_scale, game.moves.members, game.rounds
+    if not isinstance(payoff, PathDependent):
+        denom = math.lcm(*(a.denominator for a in members))
+        return np.array([evaluate_payoff(payoff, scale * (s / denom)) for s in states.tolist()])
+    # a leaf code's path is the tuple of its first rounds - tail moves plus
+    # that of its last tail moves, each looked up in a table of about
+    # sqrt(k^N) tuples, so no leaf's path outlives its evaluation
+    scaled = [scale * float(a) for a in members]
+    tail = rounds // 2
+    heads = list(itertools.product(scaled, repeat=rounds - tail))
+    tails = list(itertools.product(scaled, repeat=tail))
+    paths = map(divmod, states.tolist(), itertools.repeat(len(tails)))
+    values = np.fromiter((payoff.evaluator(heads[h] + tails[t]) for h, t in paths),
+                         dtype=np.float64, count=len(states))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        h, t = divmod(int(states[bad[0]]), len(tails))
+        raise ValueError(f"payoff value {float(values[bad[0]])!r} at the path "
+                         f"{heads[h] + tails[t]!r} is not finite")
+    return values
 
 
 def path_payoff_vector(game: GameSpec, payoff: Payoff) -> np.ndarray:
     """Payoff at every terminal path, in lexicographic member order (the
     order of the LP's rows and of the move tree's leaves)."""
-    return np.array([payoff_value_on_path(payoff, game.payoff_scale, path)
-                     for path in itertools.product(game.moves.members, repeat=game.rounds)])
+    mult, steps = state_steps(game, payoff)
+    states = np.zeros(1, dtype=steps.dtype)
+    for _ in range(game.rounds):
+        states = (states[:, None] * mult + steps).ravel()
+    return leaf_payoffs(game, payoff, states)
 
 
 # --- hinge form -------------------------------------------------------------
@@ -408,9 +437,10 @@ class PriceResult:
     terminal round included), ``strategy`` the positions and child links of
     rounds 0..N-1, and ``measure[n]`` the row in ``pairs`` (in
     ``MoveSpace.pairs()`` order) of each node's extremal pair.  ``names(n)``
-    gives the export keys of round n, shaped by ``key_kind``: (round, exact
+    gives the node names of round n, shaped by ``key_kind``: (round, exact
     sum) for "lattice", the move prefix for "path", (round, exact sum,
     inherited pair or None) for "pruned", which also has ``prune_period``.
+    ``keys(n)`` gives the same names rendered as export keys.
     """
 
     price: float
@@ -420,6 +450,7 @@ class PriceResult:
     node_values: tuple[np.ndarray, ...]
     pairs: tuple[RiskNeutralNode, ...]
     names: Callable[[int], list[NodeKey]]
+    keys: Callable[[int], list[str]]
     key_kind: str = "lattice"
     prune_period: int | None = None
 
@@ -438,34 +469,36 @@ def _key_string(key: NodeKey, kind: str) -> str:
 _ENTRY = ",\n    "  # between the entries of a per-node map
 
 
+def _json_floats(values: np.ndarray) -> Iterator[str]:
+    """The JSON text of each float: its repr, or NaN, Infinity, -Infinity."""
+    return map(float.__repr__ if np.isfinite(values).all() else json.dumps, values.tolist())
+
+
 def result_to_json(result: PriceResult, handle: TextIO) -> None:
     """Write a PriceResult as ``json.dump(..., indent=2)`` writes the dict of
     price, side, key_kind (and prune_period) and the per-node maps strategy,
-    measure and node_values, keyed by the rendered node names, latest round
-    first.  The maps go out a round at a time, never whole in memory."""
+    measure and node_values, keyed by ``result.keys``, latest round first.
+    The maps go out a round at a time, never whole in memory."""
     head = {"price": result.price, "side": result.side.value, "key_kind": result.key_kind}
     if result.prune_period is not None:
         head["prune_period"] = result.prune_period
-    names = [[_key_string(k, result.key_kind) for k in result.names(n)]
-             for n in range(len(result.node_values))]
+    keys = [[f"{encode_basestring_ascii(key)}: " for key in result.keys(n)]
+            for n in range(len(result.node_values))]
     blocks = [json.dumps({"pair": list(node.pair), "prob_neg": str(node.prob_neg),
                           "prob_pos": str(node.prob_pos)}, indent=2).replace("\n", "\n    ")
               for node in result.pairs]
 
-    def floats(keys: list[str], values: np.ndarray) -> str:
-        return json.dumps(dict(zip(keys, values.tolist())), separators=(_ENTRY, ": "))[1:-1]
-
-    def measures(keys: list[str], rows: np.ndarray) -> str:
-        return _ENTRY.join(f"{encode_basestring_ascii(key)}: {blocks[row]}"
-                           for key, row in zip(keys, rows.tolist()))
+    def measures(rows: np.ndarray) -> Iterator[str]:
+        return map(blocks.__getitem__, rows.tolist())
 
     handle.write(json.dumps(head, indent=2)[:-2])
-    for label, arrays, render in (("strategy", result.strategy.positions, floats),
+    for label, arrays, render in (("strategy", result.strategy.positions, _json_floats),
                                   ("measure", result.measure, measures),
-                                  ("node_values", result.node_values, floats)):
+                                  ("node_values", result.node_values, _json_floats)):
         handle.write(f',\n  "{label}": {{\n    ')
         for i, n in enumerate(reversed(range(len(arrays)))):
-            handle.write((_ENTRY if i else "") + render(names[n], arrays[n]))
+            entries = map(str.__add__, keys[n], render(arrays[n]))
+            handle.write((_ENTRY if i else "") + _ENTRY.join(entries))
         handle.write("\n  }")
     handle.write("\n}")
 

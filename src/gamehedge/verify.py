@@ -22,14 +22,14 @@ from . import induction, lp
 from .model import (
     GameSpec,
     MoveSpace,
-    PathDependent,
     Payoff,
     PiecewiseLinear,
     PriceResult,
     Side,
     Strategy,
-    evaluate_payoff,
+    leaf_payoffs,
     negate_payoff,
+    state_steps,
 )
 
 
@@ -85,38 +85,6 @@ def _check_links(strategy: Strategy, game: GameSpec) -> None:
             raise ValueError(f"links of round {n} do not fit its nodes and those of round {n + 1}")
 
 
-def _exact_states(game: GameSpec, payoff: Payoff) -> tuple[int, int, np.ndarray]:
-    """(denom, mult, steps): a child's exact state is its parent's times mult
-    plus steps[move], from 0 at the root.  It is the node's sum on the moves'
-    common denominator denom, or its base-k move prefix for a path-dependent
-    payoff; steps are Python ints where int64 could wrap."""
-    members, rounds = game.moves.members, game.rounds
-    denom = math.lcm(*(a.denominator for a in members))
-    if isinstance(payoff, PathDependent):
-        mult, steps = len(members), list(range(len(members)))
-    else:
-        mult, steps = 1, [a.numerator * (denom // a.denominator) for a in members]
-    wide = max(map(abs, steps)) * mult**rounds * rounds >= 2**63
-    return denom, mult, np.array(steps, dtype=object if wide else np.int64)
-
-
-def _leaf_payoffs(game: GameSpec, payoff: Payoff, denom: int, states: np.ndarray) -> np.ndarray:
-    """f at the leaves of these exact states; ValueError where it is not finite."""
-    scale = game.payoff_scale
-    if not isinstance(payoff, PathDependent):
-        return np.array([evaluate_payoff(payoff, scale * (s / denom)) for s in states.tolist()])
-    k, rounds = game.moves.size, game.rounds
-    powers = np.array([k**e for e in range(rounds - 1, -1, -1)], dtype=states.dtype)
-    digits = (states[:, None] // powers % k).astype(np.intp)
-    paths = (scale * np.array([float(a) for a in game.moves.members]))[digits].tolist()
-    values = np.array([payoff.evaluator(tuple(p)) for p in paths], dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise ValueError(f"payoff value {float(values[bad[0]])!r} at the path "
-                         f"{tuple(paths[bad[0]])!r} is not finite")
-    return values
-
-
 def check_superreplication(
     game: GameSpec,
     payoff: Payoff,
@@ -142,7 +110,7 @@ def check_superreplication(
     _check_links(strategy, game)
     members, rounds = game.moves.members, game.rounds
     move_floats = np.array([float(a) for a in members])[:, None]
-    denom, mult, steps = _exact_states(game, payoff)
+    mult, steps = state_steps(game, payoff)
 
     # each round's least-capital (move, parent) into every node of the next,
     # coded move * width + parent, so that the largest code wins a tie
@@ -165,7 +133,7 @@ def check_superreplication(
         best.append((choice, width))
         node = np.flatnonzero(np.bincount(kid.ravel(), minlength=len(cap)))
 
-    slack = alpha + cap[node] - _leaf_payoffs(game, payoff, denom, state[node])
+    slack = alpha + cap[node] - leaf_payoffs(game, payoff, state[node])
     last = len(slack) - 1 - int(np.argmin(slack[::-1]))
     path, at = [], node[last]
     for choice, width in reversed(best):
@@ -222,7 +190,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> Measur
     weights = np.array([(float(node.prob_neg), float(node.prob_pos)) for node in pairs])
     follow = np.array([(node.prob_neg > 0, node.prob_pos > 0) for node in pairs])
 
-    denom, mult, steps = _exact_states(game, payoff)
+    mult, steps = state_steps(game, payoff)
     # mass and state cover every node of a round; the leaves number len(node_values[-1])
     widths = [len(m) for m in result.measure[1:]] + [len(result.node_values[-1])]
     node, mass, state = np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1, dtype=steps.dtype)
@@ -245,7 +213,7 @@ def audit_measure(game: GameSpec, payoff: Payoff, result: PriceResult) -> Measur
         mass = np.bincount(kid, mass[parent] * weights[row[at], end], width)
         node = np.flatnonzero(np.bincount(kid, minlength=width))
 
-    values = _leaf_payoffs(game, payoff, denom, state[node]).tolist()
+    values = leaf_payoffs(game, payoff, state[node]).tolist()
     expectation = math.fsum(m * f for m, f in zip(mass[node].tolist(), values))
     total = next((sums[p] for p in np.flatnonzero(used) if sums[p] != 1), Fraction(1))
     return MeasureAudit(

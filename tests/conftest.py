@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator
@@ -10,10 +11,12 @@ from gamehedge import (
     Butterfly,
     GameSpec,
     MoveSpace,
+    PathDependent,
     PiecewiseLinear,
     PriceResult,
     RiskNeutralNode,
 )
+from gamehedge.model import Payoff, evaluate_payoff
 
 
 @pytest.fixture
@@ -24,6 +27,23 @@ def trinomial() -> MoveSpace:
 @pytest.fixture
 def butterfly() -> Butterfly:
     return Butterfly(-0.5, 0.5, 1.5)
+
+
+def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
+    """Evaluate any payoff on an exact path (tuple of rationals) to a finite
+    value: the Fraction oracle of ``model.leaf_payoffs``.
+
+    A European payoff is evaluated at scale * float(exact sum), the
+    convention of every pricing route, so that route-agreement comparisons
+    are not polluted by differing rounding of the argument.
+    """
+    if isinstance(payoff, PathDependent):
+        scaled = tuple(scale * float(x) for x in path)
+        value = payoff.evaluator(scaled)
+        if not math.isfinite(value):
+            raise ValueError(f"payoff value {value!r} at the path {scaled!r} is not finite")
+        return value
+    return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
 
 
 def measure_walk(

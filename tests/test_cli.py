@@ -207,6 +207,23 @@ def test_price_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["price"] == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--output", "", "price", "--moves=-1,1,2", "--rounds", "1", "--payoff", BUTTERFLY],
+    ["price", "--moves=-1,1,2", "--rounds", "1", "--payoff", BUTTERFLY, "--export-result", ""],
+    ["lp", "--moves=-1,1,2", "--rounds", "1", "--payoff", BUTTERFLY, "--dump-lp", ""],
+    ["pde", "--payoff", BUTTERFLY, "--sigma2", "1,2", "--s-range=-2,2", "--ds", "1/2",
+     "--dt", "1/10", "--dump-field", ""],
+], ids=["output", "export-result", "dump-lp", "dump-field"])
+def test_an_empty_output_path_is_refused(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    assert captured.out == "" and "the output path is empty" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- pde ----------------------------------------------------------------------
 
 

@@ -16,9 +16,11 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +36,7 @@ from gamehedge import (
     price_pruned,
     result_to_json,
 )
+from gamehedge import bounds, cli, induction, lp, model, pde, singlestep, verify
 from gamehedge.cli import main
 from gamehedge.model import _key_string
 from test_golden import BUTTERFLY as BUTTERFLY_PAYOFF, KINKED as KINKED_PAYOFF
@@ -54,6 +57,9 @@ ARGVS = {
                                  "--payoff", BUTTERFLY, "--side", "lower"],
     "lattice -1,0,1,2 N=5 lower": ["--moves=-1,0,1,2", "--rounds", "5", "--scale", "1/2",
                                    "--payoff", KINKED, "--side", "lower"],
+    "lattice -1,1/3,1/2,2/3,2 N=4 lower": ["--moves=-1,1/3,1/2,2/3,2", "--rounds", "4",
+                                           "--scale", "diffusive", "--payoff", KINKED,
+                                           "--side", "lower"],
     "pruned -1,1/3,1/2,2/3,2 N=6 q=2": ["--moves=-1,1/3,1/2,2/3,2", "--rounds", "6",
                                         "--scale", "diffusive", "--payoff", BUTTERFLY,
                                         "--prune", "2"],
@@ -110,6 +116,18 @@ def _signed_zeros():
                    strategy=replace(result.strategy, positions=positions))
 
 
+def _non_finite():
+    result = price_european(GameSpec(_moves("-1,1,2"), 2, 1.0), BUTTERFLY_PAYOFF, Side.UPPER)
+
+    def spoil(arrays):
+        """NaN, inf and -inf in turn at every other node."""
+        return tuple(np.where(np.arange(len(a)) % 2, a, np.resize([math.nan, math.inf, -math.inf],
+                                                                 len(a))) for a in arrays)
+
+    return replace(result, price=math.inf, node_values=spoil(result.node_values),
+                   strategy=replace(result.strategy, positions=spoil(result.strategy.positions)))
+
+
 RESULTS = {
     "tree -1,0,1,2 N=4 lower": lambda: price_path_dependent(
         GameSpec.scaled(_moves("-1,0,1,2"), 4), PathDependent(asian_lookback), Side.LOWER),
@@ -120,6 +138,7 @@ RESULTS = {
     "pruned -1,1/3,1/2,2/3,2 N=6 q=2": lambda: price_pruned(
         GameSpec.scaled(_moves("-1,1/3,1/2,2/3,2"), 6), BUTTERFLY_PAYOFF, PruneSchedule(2)),
     "signed zeros": _signed_zeros,
+    "non-finite": _non_finite,
 }
 
 
@@ -129,6 +148,23 @@ def test_streamed_export_matches_the_dict_export(name):
     written = io.StringIO()
     result_to_json(result, written)
     assert written.getvalue() == json.dumps(reference_dict(result), indent=2)
+
+
+def test_lattice_export_builds_no_fraction_per_node(monkeypatch):
+    game = GameSpec.scaled(_moves("-1,1/3,1/2,2/3,2"), 40)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    for module in (bounds, cli, induction, lp, model, pde, singlestep, verify):
+        if getattr(module, "Fraction", None) is Fraction:
+            monkeypatch.setattr(module, "Fraction", counting)
+    result = price_european(game, BUTTERFLY_PAYOFF, Side.UPPER)
+    result_to_json(result, io.StringIO())
+    assert sum(map(len, result.node_values)) > 10_000
+    assert len(built) <= 4
 
 
 if __name__ == "__main__":

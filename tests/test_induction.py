@@ -418,7 +418,7 @@ def _grouped_pruned(game, payoff, schedule):
     """The pruned route as it was before its states became rows over the
     exact lattice: the builder grows one group of sums per inherited pair,
     and each group's pair is priced with a one-row pair table."""
-    moves, rounds, scale = game.moves, game.rounds, game.payoff_scale
+    moves, rounds = game.moves, game.rounds
     q = schedule.period
     pairs = PairTable.of(moves)
     every_pair = range(len(pairs.nodes))
@@ -442,7 +442,7 @@ def _grouped_pruned(game, payoff, schedule):
 
     denom, levels, links = _grown_lattice(moves, rounds, grow)
 
-    terminal = values = induction._terminal_values(payoff, scale, levels[rounds][0].tolist(), denom)
+    terminal = values = induction.leaf_payoffs(game, payoff, levels[rounds][0])
     steps = []
     for n in range(rounds - 1, -1, -1):
         starts = np.cumsum([0] + [len(sums) for sums in levels[n + 1]])
@@ -499,7 +499,7 @@ def test_lattice_budget(monkeypatch, trinomial, butterfly):
         price()
         monkeypatch.setattr(induction, "_LATTICE_BUDGET", kept - 1)
         # the forward pass stops before any payoff is evaluated
-        monkeypatch.setattr(induction, "_terminal_values", None)
+        monkeypatch.setattr(induction, "leaf_payoffs", None)
         with pytest.raises(BudgetError,
                            match=f"^{kept} lattice nodes after 3 rounds exceed the budget of {kept - 1}$"):
             price()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +28,9 @@ from gamehedge import (
     price_path_dependent,
     variances,
 )
-from gamehedge.model import payoff_hinges, payoff_value_on_path, piecewise_from_hinges
+from gamehedge.model import path_payoff_vector, payoff_hinges, piecewise_from_hinges
+from conftest import payoff_value_on_path
+from test_golden import BUTTERFLY, KINKED, _moves, asian_lookback
 
 
 @st.composite
@@ -167,6 +171,23 @@ def test_non_finite_payoff_values_are_refused(trinomial):
         payoff_value_on_path(nan_on_drops, 1.0, (F(1), F(-1)))
     with pytest.raises(ValueError, match="payoff value nan at the path"):
         price_path_dependent(GameSpec(trinomial, 2), nan_on_drops, Side.UPPER)
+    with pytest.raises(ValueError, match=r"^payoff value nan at the path \(-1\.0, -1\.0\) "):
+        path_payoff_vector(GameSpec(trinomial, 2), nan_on_drops)
+    steep = PiecewiseLinear(((0.0, 0.0),), 0.0, 1e308)
+    with pytest.raises(ValueError, match=r"^payoff value inf at s = 2\.0 is not finite$"):
+        path_payoff_vector(GameSpec(trinomial, 2), steep)
+
+
+@pytest.mark.parametrize("moves", ["-1,1,2", "-1,0,1,2", "-1,1/3,1/2,2/3,2", "-1,1", "-2,-1,1,3"])
+@pytest.mark.parametrize("payoff", [BUTTERFLY, Call(0.0), KINKED, Sine(2.0),
+                                    PathDependent(asian_lookback)],
+                         ids=["bfly", "call(0)", "kinked", "sin(2)", "asian_lookback"])
+def test_path_payoff_vector_matches_the_fraction_oracle(moves, payoff):
+    for rounds in (1, 3, 4):
+        game = GameSpec.scaled(_moves(moves), rounds)
+        want = np.array([payoff_value_on_path(payoff, game.payoff_scale, path)
+                         for path in itertools.product(game.moves.members, repeat=rounds)])
+        assert path_payoff_vector(game, payoff).tobytes() == want.tobytes(), rounds
 
 
 def test_payoff_value_convention():

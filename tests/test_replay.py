@@ -39,8 +39,7 @@ from gamehedge import (
     price_path_dependent,
 )
 from gamehedge import cli, verify
-from gamehedge.model import payoff_value_on_path
-from conftest import random_game, random_piecewise
+from conftest import payoff_value_on_path, random_game, random_piecewise
 from test_golden import BUTTERFLY, KINKED, _moves, asian_lookback
 
 

@@ -27,8 +27,7 @@ from gamehedge import (
     price_pruned,
     verify,
 )
-from gamehedge.model import payoff_value_on_path
-from conftest import measure_walk, random_game, random_piecewise
+from conftest import measure_walk, payoff_value_on_path, random_game, random_piecewise
 from test_golden import BUTTERFLY, KINKED, _moves, asian_lookback
 
 
