@@ -10,16 +10,14 @@ Every route holds one round as arrays and hands each backward step to the
 ``singlestep`` kernel; what differs between routes is only how it numbers
 the nodes of a round and so links a node to its children.  All exact sums
 are tracked as integers on a common-denominator rescaling of the moves
-(one-step weights do not change under a positive rescaling); the lattice
-renders its export keys from those integers, and converts them back to
-Fractions only in its node names.
+(one-step weights do not change under a positive rescaling), and every
+route renders its export keys from the integers it holds.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +29,6 @@ from .model import (
     PriceResult,
     Side,
     Strategy,
-    _key_string,
     is_path_dependent,
     leaf_payoffs,
     path_payoff_vector,
@@ -50,12 +47,11 @@ class PruneSchedule:
             raise ValueError("prune period must be >= 1")
 
 
-def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, names,
-            key_kind: str, prune_period: int | None = None, keys=None) -> PriceResult:
+def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, keys,
+            key_kind: str, prune_period: int | None = None) -> PriceResult:
     """The PriceResult of the (values, pair rows, positions, links) ``steps``
-    of each round, collected from the last round back; its price is the
-    value of the root, node 0 of round 0.  Its export keys are ``keys``, or
-    else the rendered ``names``."""
+    of each round, collected from the last round back, with the export keys
+    ``keys``; its price is the value of the root, node 0 of round 0."""
     values, rows, positions, links = zip(*reversed(steps))
     return PriceResult(
         price=float(values[0][0]),
@@ -64,8 +60,7 @@ def _result(side: Side, pairs: PairTable, terminal: np.ndarray, steps: list, nam
         measure=rows,
         node_values=values + (terminal,),
         pairs=pairs.nodes,
-        names=names,
-        keys=keys or (lambda n: [_key_string(key, key_kind) for key in names(n)]),
+        keys=keys,
         key_kind=key_kind,
         prune_period=prune_period,
     )
@@ -133,11 +128,20 @@ def _forward_lattice(moves: MoveSpace, rounds: int):
     return denom, levels, links
 
 
+def _sum_keys(n: int, sums: np.ndarray, denom: int, tail: str = "") -> list[str]:
+    """``n|sum`` plus ``tail`` for each integer sum of round n, the sum
+    divided by ``denom`` and written in lowest terms as str(Fraction) would."""
+    head = f"{n}|"
+    common = np.gcd(sums, denom)
+    nums, dens = (sums // common).tolist(), (denom // common).tolist()
+    return [f"{head}{a}/{b}{tail}" if b > 1 else f"{head}{a}{tail}" for a, b in zip(nums, dens)]
+
+
 def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     """Exact hedging price of a European payoff on the collapsed lattice.
 
-    The nodes of round n are its reachable sums in ascending order; they
-    are named (round, exact sum).
+    The nodes of round n are its reachable sums in ascending order, keyed
+    ``n|sum``.
     """
     if is_path_dependent(payoff):
         raise ValueError("use price_path_dependent for path-dependent payoffs")
@@ -151,23 +155,17 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
         values, rows, positions = replicating_step(values[links[n]], pairs, side)
         steps.append((values, rows, positions, links[n]))
 
-    def keys(n: int) -> list[str]:
-        """``n|sum`` with the sum in lowest terms, as str(Fraction) writes it."""
-        common = np.gcd(levels[n], denom)
-        nums, dens = (levels[n] // common).tolist(), (denom // common).tolist()
-        return [f"{n}|{a}/{b}" if b > 1 else f"{n}|{a}" for a, b in zip(nums, dens)]
-
     return _result(side, pairs, terminal, steps,
-                   lambda n: [(n, Fraction(s, denom)) for s in levels[n].tolist()], "lattice",
-                   keys=keys)
+                   lambda n: _sum_keys(n, levels[n], denom), "lattice")
 
 
 def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
     """Hedging price on the full move tree (works for any payoff).
 
     The nodes of round n are the move prefixes of length n in
-    lexicographic member order, and are named by them.  Raises BudgetError
-    when the tree would have more than _TREE_BUDGET leaves.
+    lexicographic member order, keyed by their moves joined with commas
+    (the root by "").  Raises BudgetError when the tree would have more
+    than _TREE_BUDGET leaves.
     """
     moves, rounds = game.moves, game.rounds
     k = moves.size
@@ -183,8 +181,9 @@ def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceRes
         links = np.arange(k ** (n + 1)).reshape(-1, k).T
         values, rows, positions = replicating_step(values[links], pairs, side)
         steps.append((values, rows, positions, links))
+    strs = [str(a) for a in moves.members]
     return _result(side, pairs, terminal, steps,
-                   lambda n: list(itertools.product(moves.members, repeat=n)), "path")
+                   lambda n: list(map(",".join, itertools.product(strs, repeat=n))), "path")
 
 
 def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> PriceResult:
@@ -201,8 +200,8 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
     The states of round n are rows over the nodes of the exact lattice:
     one row per pair, in pair order, where ``inherits(n)``, else one.  A
     row marks the nodes its states reach, and the states are numbered row
-    by row in ascending sum.  They are named (round, exact sum, inherited
-    pair or None).
+    by row in ascending sum.  They are keyed ``n|sum|i,j`` with (i, j) the
+    row's inherited pair, or ``n|sum|remax`` in a round of one row.
     """
     if is_path_dependent(payoff):
         raise ValueError("pruned induction only applies to European payoffs")
@@ -255,11 +254,10 @@ def price_pruned(game: GameSpec, payoff: Payoff, schedule: PruneSchedule) -> Pri
         steps.append((best, pair, slope, link))
         values = best
 
-    def names(n: int) -> list[tuple]:
-        row, node = np.nonzero(reach[n])
-        tags = [node.pair for node in pairs.nodes] if inherits(n) else [None]
-        return [(n, Fraction(s, denom), tags[r])
-                for r, s in zip(row.tolist(), levels[n][node].tolist())]
+    def keys(n: int) -> list[str]:
+        tags = ["|{},{}".format(*node.pair) for node in pairs.nodes] if inherits(n) else ["|remax"]
+        return [key for row, tag in zip(reach[n], tags)
+                for key in _sum_keys(n, levels[n][row], denom, tag)]
 
-    return _result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
+    return _result(Side.UPPER, pairs, terminal, steps, keys, "pruned", q)
 

@@ -22,10 +22,6 @@ from typing import Callable, Iterable, Iterator, TextIO, Union
 
 import numpy as np
 
-#: Export name of a node: (round, sum) on the collapsed lattice, a tuple of
-#: moves for path-keyed trees, or (round, sum, inherited pair) for pruned runs.
-NodeKey = tuple
-
 
 class Side(str, Enum):
     """Which hedging price is being computed."""
@@ -436,11 +432,12 @@ class PriceResult:
     0 being the root.  ``node_values[n]`` holds the values of round n (the
     terminal round included), ``strategy`` the positions and child links of
     rounds 0..N-1, and ``measure[n]`` the row in ``pairs`` (in
-    ``MoveSpace.pairs()`` order) of each node's extremal pair.  ``names(n)``
-    gives the node names of round n, shaped by ``key_kind``: (round, exact
-    sum) for "lattice", the move prefix for "path", (round, exact sum,
-    inherited pair or None) for "pruned", which also has ``prune_period``.
-    ``keys(n)`` gives the same names rendered as export keys.
+    ``MoveSpace.pairs()`` order) of each node's extremal pair.  ``keys(n)``
+    gives the export keys of round n, the nodes' one identity, shaped by
+    ``key_kind``: ``n|sum`` for "lattice", the moves of the prefix joined
+    with commas for "path", ``n|sum|i,j`` (the inherited pair) or
+    ``n|sum|remax`` for "pruned", which also has ``prune_period``.  Each
+    exact sum and move is written as str(Fraction) writes it.
     """
 
     price: float
@@ -449,21 +446,9 @@ class PriceResult:
     measure: tuple[np.ndarray, ...]
     node_values: tuple[np.ndarray, ...]
     pairs: tuple[RiskNeutralNode, ...]
-    names: Callable[[int], list[NodeKey]]
     keys: Callable[[int], list[str]]
     key_kind: str = "lattice"
     prune_period: int | None = None
-
-
-def _key_string(key: NodeKey, kind: str) -> str:
-    if kind == "path":
-        return ",".join(str(a) for a in key)
-    if kind == "pruned":
-        n, s, pair = key
-        tag = "remax" if pair is None else f"{pair[0]},{pair[1]}"
-        return f"{n}|{s}|{tag}"
-    n, s = key
-    return f"{n}|{s}"
 
 
 _ENTRY = ",\n    "  # between the entries of a per-node map

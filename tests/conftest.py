@@ -46,6 +46,22 @@ def payoff_value_on_path(payoff: Payoff, scale: float, path: tuple) -> float:
     return evaluate_payoff(payoff, scale * float(sum(path, Fraction(0))))
 
 
+def node_names(result: PriceResult, n: int) -> list[tuple]:
+    """``result.keys(n)`` parsed back into exact tuples: (round, sum) on the
+    lattice, the tuple of moves of a prefix on the tree ("" being ()), and
+    (round, sum, inherited pair or None) for pruned runs."""
+    if result.key_kind == "path":
+        return [tuple(map(Fraction, key.split(","))) if key else () for key in result.keys(n)]
+    names = []
+    for key in result.keys(n):
+        head, total, *tag = key.split("|")
+        name = (int(head), Fraction(total))
+        if result.key_kind == "pruned":
+            name += (None if tag == ["remax"] else tuple(map(int, tag[0].split(","))),)
+        names.append(name)
+    return names
+
+
 def measure_walk(
     result: PriceResult, game: GameSpec
 ) -> Iterator[tuple[tuple, Fraction, RiskNeutralNode | None]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -38,7 +39,7 @@ from gamehedge import (
 )
 from gamehedge import bounds, cli, induction, lp, model, pde, singlestep, verify
 from gamehedge.cli import main
-from gamehedge.model import _key_string
+from conftest import node_names
 from test_golden import BUTTERFLY as BUTTERFLY_PAYOFF, KINKED as KINKED_PAYOFF
 from test_golden import _moves, asian_lookback
 
@@ -85,13 +86,26 @@ def test_every_export_is_pinned():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(ARGVS)
 
 
+def _key_string(name: tuple, kind: str) -> str:
+    """The export key of a node name (see ``conftest.node_names``), written
+    with str(Fraction): the reference renderer of ``PriceResult.keys``."""
+    if kind == "path":
+        return ",".join(str(a) for a in name)
+    if kind == "pruned":
+        n, s, pair = name
+        tag = "remax" if pair is None else f"{pair[0]},{pair[1]}"
+        return f"{n}|{s}|{tag}"
+    n, s = name
+    return f"{n}|{s}"
+
+
 def reference_dict(result) -> dict:
     """The export as one dict, for ``json.dumps(..., indent=2)``: the form
     ``result_to_json`` writes a round at a time."""
     out: dict = {"price": result.price, "side": result.side.value, "key_kind": result.key_kind}
     if result.prune_period is not None:
         out["prune_period"] = result.prune_period
-    names = [[_key_string(k, result.key_kind) for k in result.names(n)]
+    names = [[_key_string(k, result.key_kind) for k in node_names(result, n)]
              for n in range(len(result.node_values))]
     pairs = [
         {"pair": list(node.pair), "prob_neg": str(node.prob_neg), "prob_pos": str(node.prob_pos)}
@@ -150,8 +164,18 @@ def test_streamed_export_matches_the_dict_export(name):
     assert written.getvalue() == json.dumps(reference_dict(result), indent=2)
 
 
+def test_tree_keys_write_each_move_as_str_fraction():
+    moves = _moves("-1,1/3,1/2,2/3,2")
+    result = price_path_dependent(GameSpec.scaled(moves, 3), PathDependent(asian_lookback),
+                                  Side.UPPER)
+    for n in range(4):
+        assert result.keys(n) == [_key_string(path, "path")
+                                  for path in itertools.product(moves.members, repeat=n)]
+
+
 def test_lattice_export_builds_no_fraction_per_node(monkeypatch):
-    game = GameSpec.scaled(_moves("-1,1/3,1/2,2/3,2"), 40)
+    """Nor does a pruned or a tree export."""
+    five = _moves("-1,1/3,1/2,2/3,2")
     built = []
 
     def counting(*args):
@@ -161,10 +185,17 @@ def test_lattice_export_builds_no_fraction_per_node(monkeypatch):
     for module in (bounds, cli, induction, lp, model, pde, singlestep, verify):
         if getattr(module, "Fraction", None) is Fraction:
             monkeypatch.setattr(module, "Fraction", counting)
-    result = price_european(game, BUTTERFLY_PAYOFF, Side.UPPER)
-    result_to_json(result, io.StringIO())
-    assert sum(map(len, result.node_values)) > 10_000
-    assert len(built) <= 4
+    for price in (
+        lambda: price_european(GameSpec.scaled(five, 40), BUTTERFLY_PAYOFF, Side.UPPER),
+        lambda: price_pruned(GameSpec.scaled(five, 40), BUTTERFLY_PAYOFF, PruneSchedule(3)),
+        lambda: price_path_dependent(GameSpec.scaled(five, 6), PathDependent(asian_lookback),
+                                     Side.UPPER),
+    ):
+        built.clear()
+        result = price()
+        result_to_json(result, io.StringIO())
+        assert sum(map(len, result.node_values)) > 10_000
+        assert len(built) <= 4
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Each pinned game stores ``price.hex()`` and sha256 digests over the sorted
 ``(repr(name), value.hex())`` items of the strategy's positions and of
 ``node_values`` and the sorted ``(repr(name), pair)`` items of ``measure``,
-each node named by ``result.names``.  A refactor of the backward pass that
-changes a single bit of a value, a name or an extremal pair fails here.
+each node named by ``conftest.node_names``, which parses ``result.keys``.  A
+refactor of the backward pass that changes a single bit of a value, a key
+or an extremal pair fails here.
 
 Regenerate the pinned file (only from a commit whose results are the
 reference) with::
@@ -34,6 +35,7 @@ from gamehedge import (
     price_path_dependent,
     price_pruned,
 )
+from conftest import node_names
 
 GOLDEN = Path(__file__).with_name("golden_results.json")
 
@@ -98,7 +100,7 @@ def _digest(items) -> str:
 def _named(result, arrays, render):
     """(repr(name), rendered value) of every node of the per-round arrays."""
     return ((repr(key), render(v)) for n, values in enumerate(arrays)
-            for key, v in zip(result.names(n), values.tolist()))
+            for key, v in zip(node_names(result, n), values.tolist()))
 
 
 def fingerprint(result) -> dict:

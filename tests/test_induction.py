@@ -27,7 +27,7 @@ from gamehedge import (
 from gamehedge import induction
 from gamehedge.lp import solve_side
 from gamehedge.singlestep import PairTable, best_pair
-from conftest import extract_measure, random_game, random_piecewise
+from conftest import extract_measure, node_names, random_game, random_piecewise
 from test_singlestep import step_strategy
 
 
@@ -57,13 +57,13 @@ def test_constant_payoff(trinomial):
 def test_node_keys_are_exact_sums(trinomial, butterfly):
     game = GameSpec(trinomial, 2, 1.0)
     result = price_european(game, butterfly, Side.UPPER)
-    assert result.names(0) == [(0, F(0))]
-    assert (1, F(-1)) in result.names(1) and (1, F(2)) in result.names(1)
-    assert (2, F(4)) in result.names(2)
+    assert node_names(result, 0) == [(0, F(0))]
+    assert (1, F(-1)) in node_names(result, 1) and (1, F(2)) in node_names(result, 1)
+    assert (2, F(4)) in node_names(result, 2)
     # collapsed lattice: 2 rounds of {-1,1,2} reach 6 sums at round 2
     assert len(result.node_values[2]) == 6
     # the root's move 2 leads to the node named (1, 2)
-    assert result.names(1)[result.strategy.links[0][2, 0]] == (1, F(2))
+    assert node_names(result, 1)[result.strategy.links[0][2, 0]] == (1, F(2))
 
 
 def test_path_dependent_product():
@@ -75,8 +75,8 @@ def test_path_dependent_product():
     assert up.price == pytest.approx(0.0, abs=1e-12)
     assert lo.price == pytest.approx(0.0, abs=1e-12)
     assert up.key_kind == "path"
-    assert up.names(0) == [()]
-    assert (F(-1), F(1)) in up.names(2)
+    assert node_names(up, 0) == [()]
+    assert (F(-1), F(1)) in node_names(up, 2)
 
 
 def test_links_lead_to_the_node_of_each_move(butterfly):
@@ -86,7 +86,7 @@ def test_links_lead_to_the_node_of_each_move(butterfly):
     for result in (price_european(game, butterfly, Side.LOWER),
                    price_path_dependent(game, butterfly, Side.UPPER), pruned):
         for n, links in enumerate(result.strategy.links):
-            parents, children = result.names(n), result.names(n + 1)
+            parents, children = node_names(result, n), node_names(result, n + 1)
             for m, a in enumerate(moves.members):
                 for parent, j in zip(parents, links[m].tolist()):
                     if j < 0:
@@ -104,7 +104,7 @@ def test_links_lead_to_the_node_of_each_move(butterfly):
             linked = [m for m in range(moves.size) if links[m, i] >= 0]
             assert linked == [moves.n_negative - 1 - pair[0], moves.n_negative + pair[1]]
             for m in linked:
-                assert pruned.names(n + 1)[links[m, i]][2] == (pair if inherits else None)
+                assert node_names(pruned, n + 1)[links[m, i]][2] == (pair if inherits else None)
 
 
 def test_path_dependent_budget(monkeypatch):
@@ -300,7 +300,7 @@ def test_lattice_sums_past_int64_are_refused():
         price_pruned(game, Call(0.0), PruneSchedule(2))
     # 3 * 2^61 still fits
     result = price_european(GameSpec(moves, 3, 1.0), Call(0.0), Side.UPPER)
-    assert result.names(3)[0] == (3, F(-3))
+    assert node_names(result, 3)[0] == (3, F(-3))
 
 
 # --- forward lattice builder -------------------------------------------------
@@ -343,9 +343,8 @@ def _assert_same_result(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
     for a, b in zip(got.measure + got.strategy.links, want.measure + want.strategy.links):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    rounds = len(want.node_values) - 1
-    for n in {0, 1, rounds // 2, rounds}:  # Fraction names are slow to build
-        assert got.names(n) == want.names(n)
+    for n in range(len(want.node_values)):
+        assert got.keys(n) == want.keys(n)
 
 
 @pytest.mark.parametrize("branch", BRANCHES)
@@ -460,11 +459,12 @@ def _grouped_pruned(game, payoff, schedule):
         steps.append(tuple(np.concatenate(arrays, axis=-1) for arrays in zip(*parts)))
         values = steps[-1][0]
 
-    def names(n):
-        tags = [pairs.nodes[p].pair for p in every_pair] if inherits(n) else [None]
-        return [(n, F(s, denom), tag) for tag, sums in zip(tags, levels[n]) for s in sums.tolist()]
+    def keys(n):
+        tags = ["{},{}".format(*node.pair) for node in pairs.nodes] if inherits(n) else ["remax"]
+        return [f"{n}|{F(s, denom)}|{tag}"
+                for tag, sums in zip(tags, levels[n]) for s in sums.tolist()]
 
-    return induction._result(Side.UPPER, pairs, terminal, steps, names, "pruned", q)
+    return induction._result(Side.UPPER, pairs, terminal, steps, keys, "pruned", q)
 
 
 @pytest.mark.parametrize("space, rounds", [(space, rounds) for space in LATTICE_SPACES
