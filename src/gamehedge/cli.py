@@ -278,6 +278,7 @@ def cmd_converge(args) -> int:
     payoff = parse_payoff(args.payoff)
     n_list = _n_list(args.n_list)
 
+    started = time.perf_counter()
     pde_upper = pde_lower = None
     if args.pde:
         grid = _grid_from_args(args)
@@ -287,7 +288,6 @@ def cmd_converge(args) -> int:
         pde_upper = pde.value_at(up_sol, 0.0)
         pde_lower = pde.value_at(lo_sol, 0.0)
 
-    started = time.perf_counter()
     rows = []
     for rounds in n_list:
         game = GameSpec.scaled(moves, rounds)

@@ -16,6 +16,12 @@ with the switch decided per node by the sign of the discrete second
 difference (ties count as nonnegative), Dirichlet boundaries frozen at the
 initial payoff, and the usual stability requirement
 (sigma_max^2 / 2) * dt / ds^2 <= 1/2.
+
+The march writes each step into two rows that swap roles (the boundary
+values never change) and two work rows, so a step allocates nothing.  It
+stops with RuntimeError at the first time step whose row is not finite;
+solve checks once per block of _BLOCK steps and replays a failed block
+step by step to name that time step.
 """
 from __future__ import annotations
 
@@ -30,6 +36,9 @@ from .model import BudgetError, Payoff, Side, evaluate_payoff, is_path_dependent
 # Space nodes a grid may have: a march of 4*10^6 nodes peaks near 0.2 GB
 # RSS, most of it the payoff row built as a list.
 _GRID_BUDGET = 1 << 22
+
+# Time steps solve makes between two finiteness checks.
+_BLOCK = 64
 
 
 class StabilityError(ValueError):
@@ -92,7 +101,7 @@ def march(
 
     Row 0 is the payoff on the grid's space nodes and row n the solution
     after n time steps.  Each row is a fresh array, so a caller may keep it.
-    Only one row is held between steps.
+    Between steps only the march's two rows and two work rows are held.
     """
     return _rows(*_start(grid, payoff, side, sigma_min_sq, sigma_max_sq))
 
@@ -104,10 +113,25 @@ def solve(
     sigma_min_sq: float,
     sigma_max_sq: float,
 ) -> GridSolution:
-    """March the explicit scheme to the horizon and keep the last row."""
-    for row in _rows(*_start(grid, payoff, side, sigma_min_sq, sigma_max_sq)):
-        pass
-    return GridSolution(grid, row)
+    """March the explicit scheme to the horizon and keep the last row.
+
+    Finiteness is checked once per block of _BLOCK steps.  A failed block
+    is replayed from its kept start row with a check per step, so solve
+    raises the RuntimeError that march raises, at the same time step.
+    """
+    start, steps, w_convex, w_concave = _start(grid, payoff, side, sigma_min_sq, sigma_max_sq)
+    a, b, t, q = _buffers(start)
+    for first in range(0, steps, _BLOCK):
+        last = min(first + _BLOCK, steps)
+        np.copyto(start, a)
+        for _ in range(first, last):
+            _step(a, b, t, q, w_convex, w_concave)
+            a, b = b, a
+        if not np.isfinite(a).all():
+            # a non-finite node stays non-finite, so the replay raises
+            for _ in _checked(start, b, t, q, w_convex, w_concave, first, last):
+                pass
+    return GridSolution(grid, a)
 
 
 def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,
@@ -140,17 +164,47 @@ def _start(grid: GridSpec, payoff: Payoff, side: Side, sigma_min_sq: float,
     return row, grid.n_time, coef * sigma_min_sq, coef * sigma_max_sq
 
 
-def _rows(
-    row: np.ndarray, steps: int, w_convex: float, w_concave: float
-) -> Iterator[np.ndarray]:
+def _rows(row: np.ndarray, steps: int, w_convex: float, w_concave: float) -> Iterator[np.ndarray]:
     yield row
-    for n in range(steps):
-        second = row[2:] - 2.0 * row[1:-1] + row[:-2]
-        row = row.copy()
-        row[1:-1] += np.where(second >= 0.0, w_convex, w_concave) * second
-        if not np.isfinite(row).all():
+    for current in _checked(*_buffers(row), w_convex, w_concave, 0, steps):
+        yield current.copy()
+
+
+def _buffers(row: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The march's two rows, both starting as row, and its two work rows."""
+    return row.copy(), row.copy(), np.empty(row.size - 2), np.empty(row.size - 2)
+
+
+def _checked(a: np.ndarray, b: np.ndarray, t: np.ndarray, q: np.ndarray, w_convex: float,
+             w_concave: float, first: int, last: int) -> Iterator[np.ndarray]:
+    """Step a from time step first to last, yielding each new row (a buffer
+    that the step after next overwrites); raise at the first non-finite row."""
+    for n in range(first, last):
+        _step(a, b, t, q, w_convex, w_concave)
+        a, b = b, a
+        if not np.isfinite(a).all():
             raise RuntimeError(f"field became non-finite at time step {n + 1}")
-        yield row
+        yield a
+
+
+def _step(a: np.ndarray, b: np.ndarray, t: np.ndarray, q: np.ndarray,
+          w_convex: float, w_concave: float) -> None:
+    """One time step from row a into row b, whose boundary values equal a's;
+    t and q are interior-sized work rows.
+
+    The second difference takes w_convex where it is >= 0, else w_concave:
+    the larger product when w_convex >= w_concave, else the smaller.
+    Rounded multiplication by a nonnegative weight is monotone, so that is
+    the chosen weight's product, signed zeros and NaN included; only an
+    infinite difference beside a zero weight gives NaN where that is +-inf.
+    """
+    np.multiply(a[1:-1], 2.0, out=t)
+    np.subtract(a[2:], t, out=t)
+    np.add(t, a[:-2], out=t)
+    np.multiply(t, w_convex, out=q)
+    np.multiply(t, w_concave, out=t)
+    (np.maximum if w_convex >= w_concave else np.minimum)(q, t, out=q)
+    np.add(a[1:-1], q, out=b[1:-1])
 
 
 def value_at(solution: GridSolution, s: float) -> float:

@@ -847,6 +847,23 @@ def test_timing_goes_to_stderr(capsys):
     assert "elapsed:" not in out
 
 
+def test_converge_timing_includes_the_pde_solves(capsys, monkeypatch):
+    real_solve = cli.pde.solve
+
+    def slow_solve(*args):
+        time.sleep(0.05)
+        return real_solve(*args)
+
+    monkeypatch.setattr(cli.pde, "solve", slow_solve)
+    argv = ["converge", "--moves=-1,1,2", "--payoff", BUTTERFLY, "--n-list", "1", "--pde"]
+    code, out, err = run_cli(capsys, "--timing", *argv)
+    assert code == 0
+    (line,) = err.splitlines()
+    assert line.startswith("elapsed: ") and line.endswith("s")
+    assert float(line[len("elapsed: "):-1]) >= 0.1  # two solves of at least 50 ms
+    assert out == run_cli(capsys, *argv)[1]  # timing leaves stdout alone
+
+
 def test_output_is_deterministic(capsys):
     argv = ["converge", "--moves=-1,1,2", "--payoff", BUTTERFLY, "--n-list", "1,5"]
     _, first, _ = run_cli(capsys, *argv)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -20,12 +22,13 @@ from gamehedge import (
     value_at,
 )
 from gamehedge import pde
-from gamehedge.cli import main
+from gamehedge.cli import main, parse_payoff
 from gamehedge.model import evaluate_payoff
 
 
 WIDE = GridSpec(-6.0, 6.0, 0.1, 1.0 / 300.0)
 NARROW = GridSpec(-2.0, 2.0, 0.1, 1.0 / 300.0)
+BFLY = "butterfly(-1/2,1/2,3/2)"
 
 
 def full_field(grid, payoff, side, sigma_min_sq, sigma_max_sq):
@@ -169,6 +172,91 @@ def test_march_stops_at_the_first_non_finite_row():
         RuntimeError, match="field became non-finite at time step 1"
     ):
         next(rows)
+
+
+def _fault_at(monkeypatch, step):
+    """Make pde._step write NaN into the middle of its new row whenever it
+    steps from the start row of WIDE upper time step ``step``, so that a
+    replay of that step meets the same fault."""
+    start = list(march(WIDE, parse_payoff(BFLY), Side.UPPER, 1.0, 2.0))[step - 1]
+    real_step = pde._step
+
+    def faulty(a, b, *rest):
+        real_step(a, b, *rest)
+        if np.array_equal(a, start):
+            b[b.size // 2] = np.nan
+
+    monkeypatch.setattr(pde, "_step", faulty)
+
+
+# 70 lies inside solve's second block; 300, WIDE's last step, ends a block
+# shorter than the others
+@pytest.mark.parametrize("step", [70, WIDE.n_time])
+def test_every_route_names_the_first_non_finite_step(monkeypatch, capsys, step):
+    assert step % pde._BLOCK not in (0, 1)
+    _fault_at(monkeypatch, step)
+    message = f"^field became non-finite at time step {step}$"
+    with pytest.raises(RuntimeError, match=message):
+        solve(WIDE, parse_payoff(BFLY), Side.UPPER, 1.0, 2.0)
+    rows = march(WIDE, parse_payoff(BFLY), Side.UPPER, 1.0, 2.0)
+    for _ in range(step):
+        assert np.isfinite(next(rows)).all()
+    with pytest.raises(RuntimeError, match=message):
+        next(rows)
+    code = main(["pde", "--sigma2", "1,2", "--payoff", BFLY, "--s-range=-6,6", "--ds", "1/10",
+                 "--dt", "1/300", "--side", "upper"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: field became non-finite at time step {step}\n"
+
+
+@pytest.mark.filterwarnings("ignore:sigma_min_sq = 0")
+@pytest.mark.parametrize("side", [Side.UPPER, Side.LOWER])
+@pytest.mark.parametrize("sigma_min_sq", [0.0, 2.0])
+def test_step_weighs_the_second_difference_as_the_where_form(side, sigma_min_sq):
+    # signed zero second differences, NaN, +-inf, and 1e308 neighbours
+    # whose second difference overflows
+    nan, inf = np.nan, np.inf
+    row = np.array([0.0, 1.0, 2.0, 3.0, 0.5, -0.0, 0.0, -0.0, 0.0, 0.0, 1.0, nan, 0.0,
+                    inf, 0.0, -inf, 5.0, 1e308, -1e308, 1e308, 2.0, 2.0, -2.0, 7.0, 1.5])
+    flat = PiecewiseLinear(((0.0, 0.0),))
+    _, _, w_convex, w_concave = pde._start(WIDE, flat, side, sigma_min_sq, 2.0)
+    a, b = row.copy(), row.copy()
+    t, q = np.empty(row.size - 2), np.empty(row.size - 2)
+    with np.errstate(all="ignore"):
+        pde._step(a, b, t, q, w_convex, w_concave)
+        second = row[2:] - 2.0 * row[1:-1] + row[:-2]
+        want = row[1:-1] + np.where(second >= 0.0, w_convex, w_concave) * second
+    assert np.array_equal(bits(a), bits(row))  # the step reads a, writes only b
+    assert bits(b[0]) == bits(row[0]) and bits(b[-1]) == bits(row[-1])
+    assert {float.hex(x) for x in second} >= {"0x0.0p+0", "-0x0.0p+0", "nan", "inf", "-inf"}
+    # only an infinite second difference times a zero weight differs: NaN
+    # in the kernel, +-inf in the where form, so the row is not finite
+    # either way
+    differs = bits(b[1:-1]) != bits(want)
+    assert np.isinf(second[differs]).all() and np.isnan(b[1:-1][differs]).all()
+    assert np.isinf(want[differs]).all()
+    assert differs.any() == (sigma_min_sq == 0.0)
+
+
+@pytest.mark.parametrize("ds, dt, upper, lower", [
+    ("1/40", "1/4000", "0x1.866a467fd0adbp-2", "0x1.a6899eab7fcc1p-3"),
+    ("1/80", "1/16000", "0x1.86654716e07cdp-2", "0x1.a692e8cb8ac11p-3"),
+])
+def test_benchmark_grids_are_pinned_bit_for_bit(capsys, ds, dt, upper, lower):
+    for side, want in (("upper", upper), ("lower", lower)):
+        code = main(["pde", "--moves=-1,1,2", "--payoff", BFLY, "--ds", ds, "--dt", dt,
+                     "--side", side])
+        assert code == 0
+        assert float.hex(json.loads(capsys.readouterr().out)["value_at_origin"]) == want
+
+
+def test_converge_with_the_pde_is_pinned_byte_for_byte(capsys):
+    code = main(["converge", "--moves=-1,1,2", "--payoff", BFLY, "--n-list", "100,200",
+                 "--pde"])
+    assert code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "5b68ecdeb4aa652ef63affc0c71c59b9df3f90a038c2e038db8a905d6128da3f")
 
 
 def test_solve_holds_one_row(butterfly):
