@@ -94,17 +94,17 @@ def nested_compare(
     nondecreasing.  ``game`` supplies rounds and scale; its own move space
     is ignored.
     """
-    from .induction import price_european
+    from .induction import lattice_price
 
     if not set(inner.members) <= set(outer.members):
         raise ValueError("inner move space must be a subset of the outer one")
     game_in = replace(game, moves=inner)
     game_out = replace(game, moves=outer)
     chain = (
-        price_european(game_out, payoff, Side.LOWER).price,
-        price_european(game_in, payoff, Side.LOWER).price,
-        price_european(game_in, payoff, Side.UPPER).price,
-        price_european(game_out, payoff, Side.UPPER).price,
+        lattice_price(game_out, payoff, Side.LOWER),
+        lattice_price(game_in, payoff, Side.LOWER),
+        lattice_price(game_in, payoff, Side.UPPER),
+        lattice_price(game_out, payoff, Side.UPPER),
     )
     for a, b in zip(chain, chain[1:]):
         if a > b + 1e-9:

@@ -167,11 +167,6 @@ def _emit_csv(args, header: list[str], rows: list[list]) -> None:
     _emit(args, buffer.getvalue())
 
 
-def _timing(args, started: float) -> None:
-    if getattr(args, "timing", False):
-        print(f"elapsed: {time.perf_counter() - started:.6f}s", file=sys.stderr)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -185,12 +180,13 @@ def cmd_price(args) -> int:
         raise ValueError("pruned pricing is defined for the upper side only")
     if pruned and args.verify:
         raise ValueError("--verify applies to exact (non-pruned) results")
-    started = time.perf_counter()
+    # an exact certificate is built only to be replayed or exported
+    result = None
     if pruned:
         result = induction.price_pruned(game, payoff, induction.PruneSchedule(args.prune))
-    else:
+    elif args.verify or args.export_result is not None:
         result = induction.price_european(game, payoff, side)
-    _timing(args, started)
+    price = induction.lattice_price(game, payoff, side) if result is None else result.price
 
     if args.export_result is not None:
         with _replacing(args.export_result) as handle:
@@ -198,7 +194,7 @@ def cmd_price(args) -> int:
             handle.write("\n")
 
     out = {
-        "price": result.price,
+        "price": price,
         "side": side.value,
         "moves": [str(a) for a in game.moves.members],
         "rounds": game.rounds,
@@ -209,7 +205,7 @@ def cmd_price(args) -> int:
         out["prune_period"] = args.prune
 
     if args.verify:
-        report = verify.check_replication(game, payoff, result.price, result.strategy, side)
+        report = verify.check_replication(game, payoff, price, result.strategy, side)
         audit = verify.audit_measure(game, payoff, result)
         out["verification"] = {
             "min_slack": report.min_slack,
@@ -247,12 +243,10 @@ def cmd_pde(args) -> int:
     else:
         lo, hi = variances(parse_moves(args.moves))
         sig_lo, sig_hi = float(lo), float(hi)
-    started = time.perf_counter()
     if args.dump_field is not None:
         solution = _dump_field(args.dump_field, grid, payoff, side, sig_lo, sig_hi)
     else:
         solution = pde.solve(grid, payoff, side, sig_lo, sig_hi)
-    _timing(args, started)
 
     _emit_json(
         args,
@@ -278,7 +272,6 @@ def cmd_converge(args) -> int:
     payoff = parse_payoff(args.payoff)
     n_list = _n_list(args.n_list)
 
-    started = time.perf_counter()
     pde_upper = pde_lower = None
     if args.pde:
         grid = _grid_from_args(args)
@@ -291,8 +284,8 @@ def cmd_converge(args) -> int:
     rows = []
     for rounds in n_list:
         game = GameSpec.scaled(moves, rounds)
-        upper = induction.price_european(game, payoff, Side.UPPER).price
-        lower = induction.price_european(game, payoff, Side.LOWER).price
+        upper = induction.lattice_price(game, payoff, Side.UPPER)
+        lower = induction.lattice_price(game, payoff, Side.LOWER)
         prices = bounds_mod.binomial_prices(game, payoff).values()
         bino_max, bino_min = max(prices), min(prices)
         rows.append(
@@ -306,7 +299,6 @@ def cmd_converge(args) -> int:
                 repr(pde_lower) if pde_lower is not None else "",
             ]
         )
-    _timing(args, started)
     _emit_csv(
         args,
         ["N", "upper", "lower", "binomial_max", "binomial_min", "pde_upper", "pde_lower"],
@@ -333,10 +325,9 @@ def cmd_sweep_quad(args) -> int:
     rows = []
     for rounds in n_list:
         game = GameSpec.scaled(base, rounds)
-        rows.append(["", rounds, repr(induction.price_european(game, payoff, Side.UPPER).price)])
+        rows.append(["", rounds, repr(induction.lattice_price(game, payoff, Side.UPPER))])
 
     members = set(base.members)
-    started = time.perf_counter()
     for a4 in (a4_min + k * step for k in range(a4_count)):
         if a4 in members:
             print(f"skipping a4={a4}: already a move", file=sys.stderr)
@@ -344,9 +335,8 @@ def cmd_sweep_quad(args) -> int:
             quad = MoveSpace.from_moves(list(base.members) + [a4])
             for rounds in n_list:
                 game = GameSpec.scaled(quad, rounds)
-                price = induction.price_european(game, payoff, Side.UPPER).price
+                price = induction.lattice_price(game, payoff, Side.UPPER)
                 rows.append([str(a4), rounds, repr(price)])
-    _timing(args, started)
     _emit_csv(args, ["a4", "N", "upper"], rows)
     return 0
 
@@ -395,9 +385,7 @@ def cmd_lp(args) -> int:
     if args.dump_lp is not None:
         with _replacing(args.dump_lp) as handle:
             handle.write(lp.dump_dense(problem))
-    started = time.perf_counter()
     optimum = lp.solve_side(problem, side)
-    _timing(args, started)
     out = {
         "optimum": optimum,
         "side": side.value,
@@ -443,9 +431,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    started = time.perf_counter()
     summary = verify.fuzz_cross_routes(args.seed, args.trials, args.max_moves, args.max_rounds)
-    _timing(args, started)
     _emit_json(
         args,
         {
@@ -566,14 +552,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "pde" and not (args.moves or args.sigma2):
         parser.error("pde needs --moves or --sigma2")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.timing:  # the whole subcommand, from its parsed options to its written output
+        print(f"elapsed: {time.perf_counter() - started:.6f}s", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

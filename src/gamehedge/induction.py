@@ -33,7 +33,7 @@ from .model import (
     leaf_payoffs,
     path_payoff_vector,
 )
-from .singlestep import PairTable, best_pair, replicating_step
+from .singlestep import PairTable, best_pair, best_value, replicating_step
 
 
 @dataclass(frozen=True)
@@ -157,6 +157,21 @@ def price_european(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:
 
     return _result(side, pairs, terminal, steps,
                    lambda n: _sum_keys(n, levels[n], denom), "lattice")
+
+
+def lattice_price(game: GameSpec, payoff: Payoff, side: Side) -> float:
+    """``price_european(game, payoff, side).price``, bit for bit, without
+    the certificate: no positions or pair rows, and one round of values
+    kept at a time."""
+    if is_path_dependent(payoff):
+        raise ValueError("use price_path_dependent for path-dependent payoffs")
+    pairs = PairTable.of(game.moves)
+    _, levels, links = _forward_lattice(game.moves, game.rounds)
+    values = leaf_payoffs(game, payoff, levels[game.rounds])
+    for link in reversed(links):
+        children = values[link]
+        values, _ = best_value(children[pairs.neg], children[pairs.pos], pairs, side)
+    return float(values[0])
 
 
 def price_path_dependent(game: GameSpec, payoff: Payoff, side: Side) -> PriceResult:

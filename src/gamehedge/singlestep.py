@@ -7,10 +7,11 @@ The one-step upper price of values v over a move space is the maximum over
 
 and the lower price is the corresponding minimum.  The maximizing (resp.
 minimizing) pair carries the extremal zero-mean measure and the optimal
-one-step position.  ``best_pair`` evaluates that step for a whole level of
-nodes at once and ``clamp_position`` turns the extremal chord slopes into
-replicating positions; the lattice, tree and pruned inductions supply the
-child values (a pruned round that inherits a pair weighs only that pair).
+one-step position.  ``best_value`` evaluates that step for a whole level
+of nodes at once, ``best_pair`` adds the extremal chord slopes and
+``clamp_position`` turns those into replicating positions; the lattice,
+tree and pruned inductions supply the child values (a pruned round that
+inherits a pair weighs only that pair).
 """
 from __future__ import annotations
 
@@ -53,22 +54,32 @@ class PairTable:
                    floats[:, 0:1], floats[:, 1:2], floats[:, 2:3])
 
 
-def best_pair(
+def best_value(
     neg: np.ndarray, pos: np.ndarray, pairs: PairTable, side: Side
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One backward step over a level of nodes.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One backward step over a level of nodes, values only.
 
     ``neg`` and ``pos`` hold, per pair (rows) and node (columns), the child
     values at the pair's negative and positive moves.  Returns the best
-    two-point expectation per node (max for UPPER, min for LOWER), the row
-    of the pair attaining it (the first one on ties) and that pair's chord
-    slope (v(a_pos) - v(a_neg)) / (a_pos - a_neg).
+    two-point expectation per node (max for UPPER, min for LOWER) and the
+    row of the pair attaining it (the first one on ties).  The value is
+    gathered at that row, not taken with ``max``, which may hand back the
+    other zero of a -0.0/0.0 tie or another NaN.
     """
     values = pairs.w_neg * neg + pairs.w_pos * pos
     index = values.argmax(axis=0) if side is Side.UPPER else values.argmin(axis=0)
-    cols = np.arange(values.shape[1])
+    return values[index, np.arange(values.shape[1])], index
+
+
+def best_pair(
+    neg: np.ndarray, pos: np.ndarray, pairs: PairTable, side: Side
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``best_value`` plus the extremal pair's chord slope
+    (v(a_pos) - v(a_neg)) / (a_pos - a_neg) per node."""
+    best, index = best_value(neg, pos, pairs, side)
+    cols = np.arange(len(index))
     slope = (pos[index, cols] - neg[index, cols]) / pairs.span[index, 0]
-    return values[index, cols], index, slope
+    return best, index, slope
 
 
 def clamp_position(

@@ -280,7 +280,7 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff) -> list[tuple[str, float, 
     expect("dual_upper", lp.dual_side(game, problem, Side.UPPER), upper, 1e-9)
     expect("dual_lower", lp.dual_side(game, problem, Side.LOWER), lower, 1e-9)
 
-    negated = induction.price_european(game, negate_payoff(payoff), Side.UPPER).price
+    negated = induction.lattice_price(game, negate_payoff(payoff), Side.UPPER)
     expect("reciprocity", lower, -negated, 1e-12)
     expect_le("order", lower, upper, 1e-12)
 
@@ -290,7 +290,7 @@ def _checks_for_trial(game: GameSpec, payoff: Payoff) -> list[tuple[str, float, 
     expect_le("convex_concave", upper, bounds_mod.convex_concave_bound(payoff, game), 1e-9)
 
     convex_part, _ = bounds_mod.split_convex_concave(payoff)
-    convex_upper = induction.price_european(game, convex_part, Side.UPPER).price
+    convex_upper = induction.lattice_price(game, convex_part, Side.UPPER)
     outer_pair = (game.moves.n_negative - 1, game.moves.n_positive - 1)
     expect(
         "convex_exact",

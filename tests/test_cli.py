@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import io
@@ -97,6 +98,25 @@ def test_price_with_verification(capsys):
     assert block["measure_ok"] is True
     assert block["paths_checked"] == 3**4
     assert abs(block["min_slack"]) <= 1e-9
+
+
+def test_only_a_replayed_or_exported_price_builds_a_certificate(capsys, monkeypatch, tmp_path):
+    calls = {"price_european": 0, "lattice_price": 0}
+    for name in calls:
+        def spy(*args, real=getattr(induction, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(induction, name, spy)
+    base = ["price", "--moves=-1,1,2", "--rounds", "3", "--payoff", BUTTERFLY]
+    prices = []
+    for extra, certified in (([], 0), (["--verify"], 1),
+                             (["--export-result", str(tmp_path / "r.json")], 1)):
+        calls.update(price_european=0, lattice_price=0)
+        code, out, _ = run_json(capsys, *base, *extra)
+        assert code == 0
+        assert calls == {"price_european": certified, "lattice_price": 1 - certified}, extra
+        prices.append(out["price"].hex())
+    assert len(set(prices)) == 1
 
 
 def test_price_pruned(capsys):
@@ -466,6 +486,7 @@ def test_sweep_quad_budget_is_checked_before_any_pricing(capsys, monkeypatch):
         raise AssertionError("priced before the budget check")
 
     monkeypatch.setattr(induction, "price_european", refuse)
+    monkeypatch.setattr(induction, "lattice_price", refuse)
     # (5 - 1/10) / 10^-10 + 1 a4 values, counted in Fractions
     assert run_cli(capsys, "sweep-quad", "--a4-step", "1/10000000000", "--n-list", "1") == (
         3, "", "error: 49000000001 a4 values at 1 N need 49000000001 pricings, "
@@ -862,6 +883,55 @@ def test_converge_timing_includes_the_pde_solves(capsys, monkeypatch):
     assert line.startswith("elapsed: ") and line.endswith("s")
     assert float(line[len("elapsed: "):-1]) >= 0.1  # two solves of at least 50 ms
     assert out == run_cli(capsys, *argv)[1]  # timing leaves stdout alone
+
+
+TIMED = {
+    "price": ["--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY, "--verify"],
+    "pde": ["--moves=-1,1,2", "--payoff", BUTTERFLY],
+    "converge": ["--moves=-1,1,2", "--payoff", BUTTERFLY, "--n-list", "1,2"],
+    "sweep-quad": ["--n-list", "1,2", "--a4-min", "3/2", "--a4-max", "2", "--a4-step", "1/2"],
+    "bounds": ["--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY, "--split",
+               "--nested-outer=-1,1,3/2,2"],
+    "lp": ["--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY, "--check-dual"],
+    "verify": ["--moves=-1,1,2", "--rounds", "2", "--payoff", BUTTERFLY],
+    "fuzz": ["--trials", "2"],
+}
+
+
+def elapsed(err: str) -> float:
+    """The seconds of the one line of ``err`` that names the elapsed time."""
+    (line,) = [line for line in err.splitlines() if "elapsed" in line]
+    assert line.startswith("elapsed: ") and line.endswith("s")
+    return float(line[len("elapsed: "):-1])
+
+
+def test_every_subcommand_is_timed():
+    (subcommands,) = (action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(TIMED) == sorted(subcommands)
+
+
+@pytest.mark.parametrize("command", sorted(TIMED))
+def test_timing_prints_one_line_and_leaves_stdout_alone(capsys, command):
+    code, out, err = run_cli(capsys, "--timing", command, *TIMED[command])
+    assert code == 0
+    assert elapsed(err) > 0.0
+    assert (code, out) == run_cli(capsys, command, *TIMED[command])[:2]
+
+
+def test_sweep_quad_timing_includes_the_base_rows(capsys, monkeypatch):
+    real_price = induction.lattice_price
+
+    def slow_price(*args):
+        time.sleep(0.05)
+        return real_price(*args)
+
+    monkeypatch.setattr(induction, "lattice_price", slow_price)
+    # a4=2 is already a move, so only the base row is priced
+    argv = ["sweep-quad", "--n-list", "1", "--a4-min", "2", "--a4-max", "2", "--a4-step", "1"]
+    code, out, err = run_cli(capsys, "--timing", *argv)
+    assert code == 0 and out.count("\n") == 2
+    assert elapsed(err) >= 0.05
 
 
 def test_output_is_deterministic(capsys):

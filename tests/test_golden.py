@@ -31,6 +31,7 @@ from gamehedge import (
     PiecewiseLinear,
     PruneSchedule,
     Side,
+    lattice_price,
     price_european,
     price_path_dependent,
     price_pruned,
@@ -58,36 +59,44 @@ def _moves(text: str) -> MoveSpace:
     return MoveSpace.from_moves(F(p) for p in text.split(","))
 
 
+# (moves, rounds, scale or None for the diffusive one, payoff) of each
+# European game the pinned cases price, keyed by the name they share
+GAMES = {
+    **{f"-1,1,2 N={rounds}": ("-1,1,2", rounds, None, BUTTERFLY) for rounds in (1, 5, 12)},
+    "-1,0,1,2 N=6": ("-1,0,1,2", 6, 0.5, KINKED),
+    "-1,1/3,1/2,2/3,2 N=8": ("-1,1/3,1/2,2/3,2", 8, None, BUTTERFLY),
+    "-1,1/997,2/991 N=6": ("-1,1/997,2/991", 6, 1.0, KINKED),
+}
+PRUNED_GAMES = {
+    "-1,1,2 N=10": ("-1,1,2", 10, None, BUTTERFLY),
+    "-1,1/3,1/2,2/3,2 N=10": ("-1,1/3,1/2,2/3,2", 10, None, KINKED),
+}
+
+
+def _game(moves: str, rounds: int, scale: float | None, payoff):
+    """The GameSpec and payoff of one GAMES entry."""
+    if scale is None:
+        return GameSpec.scaled(_moves(moves), rounds), payoff
+    return GameSpec(_moves(moves), rounds, scale), payoff
+
+
 def _cases():
-    for rounds in (1, 5, 12):
+    for name, game in GAMES.items():
         for side in Side:
-            yield f"lattice -1,1,2 N={rounds} {side.value}", lambda r=rounds, s=side: (
-                price_european(GameSpec.scaled(_moves("-1,1,2"), r), BUTTERFLY, s)
+            yield f"lattice {name} {side.value}", lambda g=game, s=side: (
+                price_european(*_game(*g), s)
             )
     for side in Side:
-        yield f"lattice -1,0,1,2 N=6 {side.value}", lambda s=side: (
-            price_european(GameSpec(_moves("-1,0,1,2"), 6, 0.5), KINKED, s)
-        )
-        yield f"lattice -1,1/3,1/2,2/3,2 N=8 {side.value}", lambda s=side: (
-            price_european(GameSpec.scaled(_moves("-1,1/3,1/2,2/3,2"), 8), BUTTERFLY, s)
-        )
-        yield f"lattice -1,1/997,2/991 N=6 {side.value}", lambda s=side: (
-            price_european(GameSpec(_moves("-1,1/997,2/991"), 6, 1.0), KINKED, s)
-        )
         yield f"tree -1,0,1,2 N=5 {side.value}", lambda s=side: (
             price_path_dependent(
                 GameSpec.scaled(_moves("-1,0,1,2"), 5), PathDependent(asian_lookback), s
             )
         )
-    for q in (2, 3):
-        yield f"pruned -1,1,2 N=10 q={q}", lambda q=q: (
-            price_pruned(GameSpec.scaled(_moves("-1,1,2"), 10), BUTTERFLY, PruneSchedule(q))
-        )
-        yield f"pruned -1,1/3,1/2,2/3,2 N=10 q={q}", lambda q=q: (
-            price_pruned(
-                GameSpec.scaled(_moves("-1,1/3,1/2,2/3,2"), 10), KINKED, PruneSchedule(q)
+    for name, game in PRUNED_GAMES.items():
+        for q in (2, 3):
+            yield f"pruned {name} q={q}", lambda g=game, q=q: (
+                price_pruned(*_game(*g), PruneSchedule(q))
             )
-        )
 
 
 CASES = dict(_cases())
@@ -121,6 +130,32 @@ def test_bit_identical_to_pinned(name):
     assert type(result.price) is float
     for arrays in (result.strategy.positions, result.node_values):
         assert all(values.dtype == np.float64 for values in arrays)
+
+
+@pytest.mark.parametrize("side", Side)
+@pytest.mark.parametrize("name", sorted(GAMES))
+def test_lattice_price_is_the_pinned_price(name, side):
+    assert lattice_price(*_game(*GAMES[name]), side).hex() == (
+        json.loads(GOLDEN.read_text())[f"lattice {name} {side.value}"]["price"])
+
+
+# the pruned cases' games, and the lattice benchmark's move spaces at its largest N
+@pytest.mark.parametrize("side", Side)
+@pytest.mark.parametrize("game", [
+    *PRUNED_GAMES.values(),
+    *((moves, rounds, None, payoff) for moves, rounds in (("-1,1,2", 300),
+                                                          ("-1,1/3,1/2,2/3,2", 100))
+      for payoff in (BUTTERFLY, KINKED)),
+], ids=lambda g: f"{g[0]} N={g[1]} {type(g[3]).__name__}")
+def test_lattice_price_is_the_certified_price(game, side):
+    game, payoff = _game(*game)
+    assert lattice_price(game, payoff, side).hex() == price_european(game, payoff, side).price.hex()
+
+
+def test_lattice_price_refuses_a_path_dependent_payoff():
+    game = GameSpec.scaled(_moves("-1,0,1,2"), 5)
+    with pytest.raises(ValueError, match="use price_path_dependent"):
+        lattice_price(game, PathDependent(asian_lookback), Side.UPPER)
 
 
 def test_every_case_is_pinned():

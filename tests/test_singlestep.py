@@ -15,7 +15,7 @@ from gamehedge import (
     build_problem,
     solve_min,
 )
-from gamehedge.singlestep import PairTable, replicating_step
+from gamehedge.singlestep import PairTable, best_pair, best_value, replicating_step
 from conftest import random_move_space
 
 
@@ -168,3 +168,39 @@ def test_agrees_with_lp_one_step():
         values = {a: payoff(float(a)) for a in moves.members}
         lp_value, _ = solve_min(build_problem(game, payoff))
         assert lp_value == pytest.approx(step_price(moves, values, Side.UPPER), abs=1e-9)
+
+
+SPECIALS = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def first_extremum(column: list[float], side: Side) -> int:
+    """Oracle: the first NaN of a column, else its first max (UPPER) or min
+    (LOWER), -0.0 and 0.0 counting as equal."""
+    if any(v != v for v in column):
+        return next(i for i, v in enumerate(column) if v != v)
+    return column.index(max(column) if side is Side.UPPER else min(column))
+
+
+@pytest.mark.parametrize("side", Side)
+@pytest.mark.parametrize("moves", ["-1,1,2", "-1,0,1,2"])  # the second has a zero weight
+def test_best_value_gathers_the_first_extremal_row(moves, side):
+    pairs = PairTable.of(MoveSpace.from_moves(F(p) for p in moves.split(",")))
+    rows = len(pairs.nodes)
+    neg, pos = np.random.default_rng(5).choice(SPECIALS, size=(2, rows, 3000))
+    # ties of the two zeros: -0.0 first, then 0.0 first
+    for col, first in ((0, -0.0), (1, 0.0)):
+        neg[:, col] = pos[:, col] = -first
+        neg[0, col] = pos[0, col] = first
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf make NaN
+        best, index = best_value(neg, pos, pairs, side)
+        values = pairs.w_neg * neg + pairs.w_pos * pos
+        paired = best_pair(neg, pos, pairs, side)[0]
+    want = [first_extremum(column, side) for column in values.T.tolist()]
+    assert index.tolist() == want
+    assert np.array_equal(bits(best), bits(values[want, np.arange(len(want))]))
+    assert np.signbit(best[:2]).tolist() == [True, False]
+    assert np.array_equal(bits(best), bits(paired))
